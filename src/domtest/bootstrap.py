@@ -13,6 +13,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,8 +37,17 @@ __all__ = [
     "run_test",
 ]
 
-# Cap on int64 elements held by one batch of vectorized bootstrap draws.
+# Cap on weight elements drawn by one batch of bootstrap rows. This fixes the
+# seeded draw schedule: with independent samples a batch draws all its w1
+# rows before its w2 rows, so a different cap hands different random numbers
+# to each sample and changes every seeded report. Tune ``_CHUNK_ELEMENTS``
+# for speed, never this.
 _BATCH_ELEMENTS = 4_000_000
+
+# Grid elements per sub-chunk of a batch. The engine works through a batch a
+# few rows at a time so that its temporaries stay in cache; the draws do not
+# depend on this value.
+_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +108,11 @@ class BootstrapConfig:
             raise ValueError("num_reps must be at least 1")
         if not (self.eta >= 0.0):
             raise ValueError("eta must be nonnegative")
-        if not isinstance(self.seed, (int, np.integer)) or not (0 <= self.seed < 2**64):
+        if (
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, (int, np.integer))
+            or not (0 <= self.seed < 2**64)
+        ):
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.statistic_kind not in (StatKind.WMW, StatKind.KS):
             raise ValueError(f"unsupported statistic kind: {self.statistic_kind}")
@@ -261,11 +275,14 @@ class _Prepared:
         self.perm2 = np.argsort(data.x2, kind="stable")
         x1s = data.x1[self.perm1]
         x2s = data.x2[self.perm2]
-        self.m = np.searchsorted(x1s, x2s, side="right").astype(np.int64)
+        self.m = np.searchsorted(x1s, x2s, side="right").astype(np.int32)
         pooled = np.concatenate([x1s, x2s])
-        self.cnt1 = np.searchsorted(x1s, pooled, side="right").astype(np.int64)
-        self.cnt2 = np.searchsorted(x2s, pooled, side="right").astype(np.int64)
-        self.ks_base = self.cnt1 * self.n2 - self.cnt2 * self.n1
+        self.cnt1 = np.searchsorted(x1s, pooled, side="right")
+        self.cnt2 = np.searchsorted(x2s, pooled, side="right")
+        # Recentered KS differences lie within +-2*n1*n2; int32 holds them
+        # up to n1*n2 < 2**30, beyond that int64 does.
+        self.ks_dtype = np.int32 if self.n1 * self.n2 < 2**30 else np.int64
+        self.ks_base = (self.cnt1 * self.n2 - self.cnt2 * self.n1).astype(self.ks_dtype)
 
     def keep_columns(self, tau: float) -> np.ndarray | None:
         """Grid columns retained by the contact-set screen, None for all."""
@@ -276,27 +293,38 @@ class _Prepared:
         mask = self.sqrt_tn * (self.m / self.n1 - grid) >= -tau * np.sqrt(v)
         return np.flatnonzero(mask)
 
+    @staticmethod
+    def _cumsum0(w: np.ndarray, perm: np.ndarray, dtype) -> np.ndarray:
+        """Row-wise running weight totals in sorted order, with a leading 0."""
+        cum = np.empty((w.shape[0], w.shape[1] + 1), dtype=dtype)
+        cum[:, 0] = 0
+        np.cumsum(np.take(w, perm, axis=1), axis=1, dtype=dtype, out=cum[:, 1:])
+        return cum
+
     def wmw_draws(self, w1: np.ndarray, w2: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
-        nrows = w1.shape[0]
-        w1s = w1[:, self.perm1]
-        w2s = w2[:, self.perm2]
-        k = np.repeat(np.tile(np.arange(self.n2), nrows), w2s.ravel()).reshape(nrows, self.n2)
-        cum1 = np.concatenate(
-            [np.zeros((nrows, 1), dtype=np.int64), np.cumsum(w1s, axis=1)], axis=1
-        )
-        rstar = np.take_along_axis(cum1, self.m[k], axis=1)
-        excess = np.maximum(rstar - self.m[np.newaxis, :], 0)
+        # Every count is at most n1, so int32 holds the whole pipeline.
+        cum1 = self._cumsum0(w1, self.perm1, np.int32)
+        # The i-th smallest resampled x2 is sorted x2 number k with k repeated
+        # by its weight; repeating the values h[k] = cum1[m[k]] directly gives
+        # the bootstrap ODC counts without materializing k.
+        h = np.take(cum1, self.m, axis=1)
+        rstar = np.repeat(h.ravel(), np.take(w2, self.perm2, axis=1).ravel())
+        excess = rstar.reshape(h.shape)
+        excess -= self.m
+        np.maximum(excess, 0, out=excess)
         if keep is not None:
-            excess = excess[:, keep]
-        return excess.sum(axis=1) * (self.sqrt_tn / (self.n1 * self.n2))
+            excess = np.take(excess, keep, axis=1)
+        return excess.sum(axis=1, dtype=np.int64) * (self.sqrt_tn / (self.n1 * self.n2))
 
     def ks_draws(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        nrows = w1.shape[0]
-        zeros = np.zeros((nrows, 1), dtype=np.int64)
-        cum1 = np.concatenate([zeros, np.cumsum(w1[:, self.perm1], axis=1)], axis=1)
-        cum2 = np.concatenate([zeros, np.cumsum(w2[:, self.perm2], axis=1)], axis=1)
-        diff = cum1[:, self.cnt1] * self.n2 - cum2[:, self.cnt2] * self.n1
-        diff -= self.ks_base[np.newaxis, :]
+        cum1 = self._cumsum0(w1, self.perm1, self.ks_dtype)
+        cum2 = self._cumsum0(w2, self.perm2, self.ks_dtype)
+        diff = np.take(cum1, self.cnt1, axis=1)
+        diff *= self.n2
+        part = np.take(cum2, self.cnt2, axis=1)
+        part *= self.n1
+        diff -= part
+        diff -= self.ks_base
         best = np.maximum(diff.max(axis=1), 0)
         return best * (self.sqrt_tn / (self.n1 * self.n2))
 
@@ -304,11 +332,20 @@ class _Prepared:
 def _bootstrap_draws(
     prep: _Prepared, config: BootstrapConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """All bootstrap statistic draws for one test, vectorized in batches."""
+    """All bootstrap statistic draws for one test, vectorized in batches.
+
+    Weights are drawn a batch at a time (see ``_BATCH_ELEMENTS``) and each
+    batch is reduced to draws in cache-sized sub-chunks of rows.
+    """
     data = prep.data
-    keep = prep.keep_columns(config.tau) if config.statistic_kind is StatKind.WMW else None
+    if config.statistic_kind is StatKind.WMW:
+        keep = prep.keep_columns(config.tau)
+        draw = functools.partial(prep.wmw_draws, keep=keep)
+    else:
+        draw = prep.ks_draws
     per_row = data.n1 + data.n2
     batch = max(1, min(config.num_reps, _BATCH_ELEMENTS // per_row))
+    chunk = max(1, _CHUNK_ELEMENTS // per_row)
     out = np.empty(config.num_reps, dtype=np.float64)
     done = 0
     while done < config.num_reps:
@@ -319,10 +356,9 @@ def _bootstrap_draws(
         else:
             w1 = _multinomial_rows(rng, data.n1, rows)
             w2 = _multinomial_rows(rng, data.n2, rows)
-        if config.statistic_kind is StatKind.WMW:
-            out[done : done + rows] = prep.wmw_draws(w1, w2, keep)
-        else:
-            out[done : done + rows] = prep.ks_draws(w1, w2)
+        for lo in range(0, rows, chunk):
+            hi = min(lo + chunk, rows)
+            out[done + lo : done + hi] = draw(w1[lo:hi], w2[lo:hi])
         done += rows
     return out
 

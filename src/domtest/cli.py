@@ -260,6 +260,8 @@ def _cmd_test(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.n is not None:
+        if args.n1 is not None or args.n2 is not None:
+            raise argparse.ArgumentTypeError("give either --n or --n1/--n2, not both")
         n1 = n2 = args.n
     else:
         n1, n2 = args.n1, args.n2

@@ -37,6 +37,12 @@ class BridgePathConfig:
             raise ValueError("num_paths must be positive")
         if self.grid_size < 2:
             raise ValueError("grid_size must be at least 2")
+        if (
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, (int, np.integer))
+            or self.seed < 0
+        ):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

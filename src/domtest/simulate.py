@@ -202,7 +202,7 @@ def _scenario_key(spec: ScenarioSpec) -> int:
         repr(float(spec.bootstrap.eta)),
         spec.bootstrap.statistic_kind.value,
     )
-    digest = hashlib.md5("|".join(parts).encode("ascii")).digest()
+    digest = hashlib.md5("|".join(parts).encode("ascii"), usedforsecurity=False).digest()
     return int.from_bytes(digest[:8], "little")
 
 

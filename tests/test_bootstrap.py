@@ -265,6 +265,17 @@ class TestCriticalValue:
             critical_value([1.0], 0.6)
 
 
+class TestBootstrapConfig:
+    @pytest.mark.parametrize("seed", [True, False, -1, 2**64, 1.5, "3"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            BootstrapConfig(seed=seed)
+
+    def test_integer_seeds_accepted(self):
+        for seed in (0, 2**64 - 1, np.uint64(5)):
+            assert BootstrapConfig(seed=seed).seed == seed
+
+
 class TestRunTest:
     def test_dominated_sample_never_rejects(self):
         data = TwoSampleData(x1=[3.0, 4.0], x2=[1.0, 2.0])
@@ -412,6 +423,61 @@ class TestBatchEngine:
         chunked = _bootstrap_draws(_Prepared(data), config, np.random.default_rng(5))
         assert chunked.shape == full.shape
         assert np.isfinite(chunked).all()
+
+    @pytest.mark.parametrize("pairing", [Pairing.INDEPENDENT, Pairing.MATCHED])
+    @pytest.mark.parametrize(
+        "kind, tau",
+        [(StatKind.WMW, 0.75), (StatKind.WMW, math.inf), (StatKind.KS, math.inf)],
+    )
+    def test_sub_chunk_size_leaves_draws_unchanged(self, monkeypatch, pairing, kind, tau):
+        # sub-chunking only regroups rows of a batch, so every chunk size, with
+        # one batch or several, must give the same draws bit for bit
+        rng = np.random.default_rng(49)
+        n1 = 23
+        n2 = n1 if pairing is Pairing.MATCHED else 29
+        x1 = rng.integers(0, 8, n1).astype(float)
+        x2 = rng.integers(0, 8, n2).astype(float)
+        data = TwoSampleData(x1=x1, x2=x2, pairing=pairing)
+        prep = _Prepared(data)
+        per_row = data.n1 + data.n2
+        config = BootstrapConfig(tau=tau, num_reps=101, seed=3, statistic_kind=kind)
+        for batch_elements in (4_000_000, 17 * per_row):
+            monkeypatch.setattr("domtest.bootstrap._BATCH_ELEMENTS", batch_elements)
+            monkeypatch.setattr("domtest.bootstrap._CHUNK_ELEMENTS", 1 << 40)
+            whole = _bootstrap_draws(prep, config, np.random.default_rng(5))
+            for chunk_elements in (1, 3 * per_row, 4 * per_row - 1):
+                monkeypatch.setattr("domtest.bootstrap._CHUNK_ELEMENTS", chunk_elements)
+                chunked = _bootstrap_draws(prep, config, np.random.default_rng(5))
+                assert_array_equal(chunked, whole)
+
+    @pytest.mark.parametrize("n", [40_000, 46_341])
+    def test_ks_wide_grid_matches_int64_formula(self, n):
+        # n*n >= 2**30: the recentered differences can pass 2**31, so the
+        # engine must not wrap. Row 0 is the extreme draw: all first-sample
+        # mass on its one small value, all second-sample mass on its one large
+        # value, where the empirical gap F1 - F2 is near -1.
+        x1 = np.concatenate([[0.0], np.arange(n - 1) + n + 1.0])
+        x2 = np.concatenate([np.arange(1.0, n), [10.0 * n]])
+        data = TwoSampleData(x1=x1, x2=x2)
+        prep = _Prepared(data)
+        w1 = np.zeros((2, n), dtype=np.int64)
+        w2 = np.zeros((2, n), dtype=np.int64)
+        w1[0, 0] = w2[0, -1] = n
+        w1[1] = _multinomial_rows(np.random.default_rng(11), n, 1)[0]
+        w2[1] = _multinomial_rows(np.random.default_rng(12), n, 1)[0]
+        draws = prep.ks_draws(w1, w2)
+
+        zeros = np.zeros((2, 1), dtype=np.int64)
+        cum1 = np.concatenate([zeros, np.cumsum(w1[:, prep.perm1], axis=1)], axis=1)
+        cum2 = np.concatenate([zeros, np.cumsum(w2[:, prep.perm2], axis=1)], axis=1)
+        cnt1 = prep.cnt1.astype(np.int64)
+        cnt2 = prep.cnt2.astype(np.int64)
+        ks_base = cnt1 * n - cnt2 * n
+        diff = cum1[:, cnt1] * n - cum2[:, cnt2] * n - ks_base
+        best = np.maximum(diff.max(axis=1), 0)
+        assert best[0] == 2 * n * n - 2 * n
+        sqrt_tn = math.sqrt(n * n / (2 * n))
+        assert_array_equal(draws, best * (sqrt_tn / (n * n)))
 
     @pytest.mark.parametrize("pairing", [Pairing.INDEPENDENT, Pairing.MATCHED])
     def test_ks_batch_matches_brute_recentering(self, pairing):

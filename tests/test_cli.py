@@ -191,3 +191,14 @@ class TestMain:
 
     def test_simulate_needs_sizes(self, capsys):
         assert main(["simulate", "--family", "power-null"]) == 2
+
+    @pytest.mark.parametrize("extra", [["--n1", "5"], ["--n2", "7"], ["--n1", "5", "--n2", "7"]])
+    def test_simulate_n_with_n1_n2_exits_2(self, capsys, extra):
+        argv = ["simulate", "--family", "power-null", "--n", "10", "--reps", "2", "--boot", "9"]
+        assert main(argv + extra) == 2
+        assert "usage error" in capsys.readouterr().err
+
+    def test_null_quantiles_negative_seed_exits_2(self, capsys):
+        argv = ["null-quantiles", "--paths", "10", "--grid", "10", "--seed", "-1"]
+        assert main(argv) == 2
+        assert "usage error" in capsys.readouterr().err

@@ -52,6 +52,9 @@ class TestBridgeFunctional:
             BridgePathConfig(num_paths=0, grid_size=100)
         with pytest.raises(ValueError):
             BridgePathConfig(num_paths=10, grid_size=1)
+        for seed in (-1, True, 1.5):
+            with pytest.raises(ValueError):
+                BridgePathConfig(num_paths=10, seed=seed)
 
 
 class TestLimitQuantiles:

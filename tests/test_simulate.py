@@ -13,6 +13,7 @@ from domtest import (
     OdcFamily,
     Pairing,
     ScenarioSpec,
+    StatKind,
     gaussian_copula_pair,
     generate_dataset,
     normal_cdf,
@@ -184,6 +185,43 @@ class TestRejectionRate:
         first = rejection_rate(spec)
         second = rejection_rate(spec)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            (
+                _spec(
+                    OdcFamily(FamilyKind.POWER_ALT, 0.25),
+                    n1=50,
+                    n2=60,
+                    mc_reps=200,
+                    seed=3,
+                    tau=0.75,
+                    num_reps=499,
+                ),
+                7938522808727416144,
+            ),
+            (
+                _spec(
+                    OdcFamily(FamilyKind.PARTIAL_CONTACT_NULL, 1.0),
+                    n1=40,
+                    n2=40,
+                    pairing=Pairing.MATCHED,
+                    rho=0.5,
+                    mc_reps=100,
+                    tau=math.inf,
+                    num_reps=199,
+                    statistic_kind=StatKind.KS,
+                ),
+                6974783679954012135,
+            ),
+        ],
+    )
+    def test_scenario_key_pinned(self, spec, key):
+        # the key seeds every replication stream, so its bytes must not drift
+        from domtest.simulate import _scenario_key
+
+        assert _scenario_key(spec) == key
 
     def test_replication_streams_separate(self):
         from domtest.simulate import replication_streams
