@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .odc import OdcCurve, Pairing, RankProfile, TwoSampleData, empirical_odc, rank_profile
-from .stats import StatKind, ks_statistic, wmw_statistic
+from .stats import StatKind, _sqrt_tn, ks_statistic, wmw_statistic
 
 __all__ = [
     "BootstrapWeights",
@@ -145,9 +145,17 @@ def _multinomial_rows(rng: np.random.Generator, categories: int, nrows: int) -> 
     counted, which is exactly multinomial.
     """
     draws = rng.integers(0, categories, size=(nrows, categories))
-    flat = draws + (np.arange(nrows) * categories)[:, None]
-    counts = np.bincount(flat.ravel(), minlength=nrows * categories)
+    draws += (np.arange(nrows) * categories)[:, None]
+    counts = np.bincount(draws.ravel(), minlength=nrows * categories)
     return counts.reshape(nrows, categories).astype(np.int64, copy=False)
+
+
+def _weight_rows(data: TwoSampleData, rng: np.random.Generator, rows: int):
+    """``rows`` weight rows per sample, w1 drawn first; matched pairs share w1."""
+    w1 = _multinomial_rows(rng, data.n1, rows)
+    if data.pairing is Pairing.MATCHED:
+        return w1, w1
+    return w1, _multinomial_rows(rng, data.n2, rows)
 
 
 def draw_weights(data: TwoSampleData, rng: np.random.Generator) -> BootstrapWeights:
@@ -156,44 +164,33 @@ def draw_weights(data: TwoSampleData, rng: np.random.Generator) -> BootstrapWeig
     Matched pairs share a single weight vector across both samples, so pairs
     are kept intact by the resampling.
     """
-    if data.pairing is Pairing.MATCHED:
-        w = _multinomial_rows(rng, data.n1, 1)[0]
-        return BootstrapWeights(w1=w, w2=w)
-    w1 = _multinomial_rows(rng, data.n1, 1)[0]
-    w2 = _multinomial_rows(rng, data.n2, 1)[0]
-    return BootstrapWeights(w1=w1, w2=w2)
+    w1, w2 = _weight_rows(data, rng, 1)
+    return BootstrapWeights(w1=w1[0], w2=w2[0])
 
 
 def bootstrap_odc(data: TwoSampleData, weights: BootstrapWeights) -> OdcCurve:
     """Bootstrap ODC: the ODC of the weighted resample, on the grid ``i/n2``.
 
     Grid value ``i-1`` is the weighted first-sample ECDF evaluated at the
-    bootstrap quantile ``inf{x : F2_star(x) >= i/n2}``.
+    bootstrap quantile ``inf{x : F2_star(x) >= i/n2}``. This is a one-row
+    call into the batched engine that ``run_test`` uses.
     """
     if weights.w1.size != data.n1 or weights.w2.size != data.n2:
         raise ValueError("weight lengths do not match the sample sizes")
-    perm1 = np.argsort(data.x1, kind="stable")
-    perm2 = np.argsort(data.x2, kind="stable")
-    x1s = data.x1[perm1]
-    x2s = data.x2[perm2]
-    m = np.searchsorted(x1s, x2s, side="right")
-    w1s = weights.w1[perm1]
-    w2s = weights.w2[perm2]
-    # i-th order statistic of the resample sits at sorted-x2 index k, where k
-    # repeats according to the weights; total weight n2 fills the whole grid.
-    k = np.repeat(np.arange(data.n2), w2s)
-    cum1 = np.concatenate([[0], np.cumsum(w1s)])
-    values = cum1[m[k]] / data.n1
-    return OdcCurve(values=values, n1=data.n1, n2=data.n2)
+    counts = _Prepared(data).odc_counts(weights.w1[None], weights.w2[None])[0]
+    return OdcCurve(values=counts / data.n1, n1=data.n1, n2=data.n2)
+
+
+def _recentered_statistic(odc_star: OdcCurve, odc: OdcCurve, keep: np.ndarray | None) -> float:
+    if odc_star.n1 != odc.n1 or odc_star.n2 != odc.n2:
+        raise ValueError("bootstrap and empirical curves must share the same grid")
+    excess = (odc_star.counts - odc.counts)[None]
+    return float(_wmw_sums(excess, keep, odc.n1, odc.n2)[0])
 
 
 def bootstrap_statistic_standard(odc_star: OdcCurve, odc: OdcCurve) -> float:
     """Recentered bootstrap statistic: scaled sum of max(R_star - R_hat, 0)."""
-    if odc_star.n1 != odc.n1 or odc_star.n2 != odc.n2:
-        raise ValueError("bootstrap and empirical curves must share the same grid")
-    terms = np.maximum(odc_star.values - odc.values, 0.0)
-    scale = math.sqrt(odc.n1 * odc.n2 / (odc.n1 + odc.n2)) / odc.n2
-    return float(scale * terms.sum())
+    return _recentered_statistic(odc_star, odc, None)
 
 
 def bootstrap_statistic_modified(
@@ -207,17 +204,27 @@ def bootstrap_statistic_modified(
     """
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive (inf allowed), got {tau}")
-    if odc_star.n1 != odc.n1 or odc_star.n2 != odc.n2:
-        raise ValueError("bootstrap and empirical curves must share the same grid")
     if v.v.size != odc.n2:
         raise ValueError("variance profile does not match the grid")
-    terms = np.maximum(odc_star.values - odc.values, 0.0)
-    if math.isfinite(tau):
-        sqrt_tn = math.sqrt(odc.n1 * odc.n2 / (odc.n1 + odc.n2))
-        keep = sqrt_tn * (odc.values - odc.grid) >= -tau * np.sqrt(v.v)
-        terms = terms * keep
-    scale = math.sqrt(odc.n1 * odc.n2 / (odc.n1 + odc.n2)) / odc.n2
-    return float(scale * terms.sum())
+    return _recentered_statistic(odc_star, odc, _kept_columns(odc.counts, odc.n1, v.v, tau))
+
+
+def _kept_columns(counts: np.ndarray, n1: int, v: np.ndarray, tau: float) -> np.ndarray | None:
+    """Grid columns kept by the screen of ``bootstrap_statistic_modified``, None for all."""
+    if math.isinf(tau):
+        return None
+    n2 = counts.size
+    grid = np.arange(1, n2 + 1, dtype=np.float64) / n2
+    return np.flatnonzero(_sqrt_tn(n1, n2) * (counts / n1 - grid) >= -tau * np.sqrt(v))
+
+
+def _wmw_sums(excess: np.ndarray, keep: np.ndarray | None, n1: int, n2: int) -> np.ndarray:
+    """Row-wise WMW bootstrap draws from recentered ODC numerators (clipped
+    in place), summed in exact integers before the one float scaling."""
+    np.maximum(excess, 0, out=excess)
+    if keep is not None:
+        excess = np.take(excess, keep, axis=1)
+    return excess.sum(axis=1, dtype=np.int64) * (_sqrt_tn(n1, n2) / (n1 * n2))
 
 
 def empirical_copula_diag(ranks: RankProfile) -> np.ndarray:
@@ -251,15 +258,17 @@ def variance_profile(data: TwoSampleData) -> VarianceProfile:
 def critical_value(draws, alpha: float) -> float:
     """Empirical upper quantile of bootstrap draws, as an infimum.
 
-    Returns the ``ceil(N*(1-alpha))``-th smallest draw, the smallest value c
-    with at least a ``1-alpha`` fraction of draws at or below c.
+    Returns the ``(N-c)``-th smallest draw, with ``c`` the largest count such
+    that ``c/N <= alpha`` in the p-value's float arithmetic, so a statistic
+    exceeds it exactly when its p-value is at most ``alpha``.
     """
     arr = np.asarray(draws, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise ValueError("need at least one bootstrap draw")
     if not (0.0 < alpha < 0.5):
         raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
-    k = min(max(int(math.ceil(arr.size * (1.0 - alpha))), 1), arr.size)
+    n = arr.size
+    k = n - int(np.count_nonzero(np.arange(1, n) / n <= alpha))
     return float(np.partition(arr, k - 1)[k - 1])
 
 
@@ -270,7 +279,6 @@ class _Prepared:
         self.data = data
         self.n1 = data.n1
         self.n2 = data.n2
-        self.sqrt_tn = math.sqrt(self.n1 * self.n2 / (self.n1 + self.n2))
         self.perm1 = np.argsort(data.x1, kind="stable")
         self.perm2 = np.argsort(data.x2, kind="stable")
         x1s = data.x1[self.perm1]
@@ -286,12 +294,7 @@ class _Prepared:
 
     def keep_columns(self, tau: float) -> np.ndarray | None:
         """Grid columns retained by the contact-set screen, None for all."""
-        if math.isinf(tau):
-            return None
-        grid = np.arange(1, self.n2 + 1, dtype=np.float64) / self.n2
-        v = variance_profile(self.data).v
-        mask = self.sqrt_tn * (self.m / self.n1 - grid) >= -tau * np.sqrt(v)
-        return np.flatnonzero(mask)
+        return _kept_columns(self.m, self.n1, variance_profile(self.data).v, tau)
 
     @staticmethod
     def _cumsum0(w: np.ndarray, perm: np.ndarray, dtype) -> np.ndarray:
@@ -301,7 +304,8 @@ class _Prepared:
         np.cumsum(np.take(w, perm, axis=1), axis=1, dtype=dtype, out=cum[:, 1:])
         return cum
 
-    def wmw_draws(self, w1: np.ndarray, w2: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+    def odc_counts(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        """Bootstrap ODC numerators, one int32 row per row of weights."""
         # Every count is at most n1, so int32 holds the whole pipeline.
         cum1 = self._cumsum0(w1, self.perm1, np.int32)
         # The i-th smallest resampled x2 is sorted x2 number k with k repeated
@@ -309,12 +313,12 @@ class _Prepared:
         # the bootstrap ODC counts without materializing k.
         h = np.take(cum1, self.m, axis=1)
         rstar = np.repeat(h.ravel(), np.take(w2, self.perm2, axis=1).ravel())
-        excess = rstar.reshape(h.shape)
+        return rstar.reshape(h.shape)
+
+    def wmw_draws(self, w1: np.ndarray, w2: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+        excess = self.odc_counts(w1, w2)
         excess -= self.m
-        np.maximum(excess, 0, out=excess)
-        if keep is not None:
-            excess = np.take(excess, keep, axis=1)
-        return excess.sum(axis=1, dtype=np.int64) * (self.sqrt_tn / (self.n1 * self.n2))
+        return _wmw_sums(excess, keep, self.n1, self.n2)
 
     def ks_draws(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
         cum1 = self._cumsum0(w1, self.perm1, self.ks_dtype)
@@ -326,7 +330,7 @@ class _Prepared:
         diff -= part
         diff -= self.ks_base
         best = np.maximum(diff.max(axis=1), 0)
-        return best * (self.sqrt_tn / (self.n1 * self.n2))
+        return best * (_sqrt_tn(self.n1, self.n2) / (self.n1 * self.n2))
 
 
 def _bootstrap_draws(
@@ -350,12 +354,7 @@ def _bootstrap_draws(
     done = 0
     while done < config.num_reps:
         rows = min(batch, config.num_reps - done)
-        if data.pairing is Pairing.MATCHED:
-            w1 = _multinomial_rows(rng, data.n1, rows)
-            w2 = w1
-        else:
-            w1 = _multinomial_rows(rng, data.n1, rows)
-            w2 = _multinomial_rows(rng, data.n2, rows)
+        w1, w2 = _weight_rows(data, rng, rows)
         for lo in range(0, rows, chunk):
             hi = min(lo + chunk, rows)
             out[done + lo : done + hi] = draw(w1[lo:hi], w2[lo:hi])

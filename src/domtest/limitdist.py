@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .odc import _quantile_rank
+
 __all__ = [
     "BridgePathConfig",
     "LimitVarianceInputs",
@@ -116,8 +118,8 @@ def simulate_bridge_functional(config: BridgePathConfig) -> np.ndarray:
 def limit_quantiles(samples, levels) -> np.ndarray:
     """Empirical quantiles at the given levels, as infima.
 
-    Uses the ``ceil(N*p)``-th smallest sample, the same order-statistic
-    convention as the bootstrap critical value.
+    Uses the k-th smallest sample for the smallest k with ``k/N >= p``, the
+    order-statistic rule of ``empirical_quantile``.
     """
     arr = np.asarray(samples, dtype=np.float64).reshape(-1)
     if arr.size == 0:
@@ -126,11 +128,7 @@ def limit_quantiles(samples, levels) -> np.ndarray:
     if np.any(lv <= 0.0) or np.any(lv >= 1.0):
         raise ValueError("quantile levels must lie in (0, 1)")
     srt = np.sort(arr)
-    out = np.empty(lv.size, dtype=np.float64)
-    for j, p in enumerate(lv):
-        k = min(max(int(math.ceil(arr.size * p)), 1), arr.size)
-        out[j] = srt[k - 1]
-    return out
+    return np.array([srt[_quantile_rank(arr.size, p) - 1] for p in lv])
 
 
 def limit_variance(inputs: LimitVarianceInputs) -> float:

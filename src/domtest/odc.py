@@ -152,21 +152,21 @@ def ecdf_eval(sample, x: float) -> float:
     return int(np.count_nonzero(arr <= x)) / arr.size
 
 
+def _quantile_rank(n: int, level: float) -> int:
+    """Smallest k in [1, n] with ``k/n >= level``, compared on the float grid
+    ``k/n``: the rank of the infimum quantile at ``level``."""
+    return 1 + int(np.count_nonzero(np.arange(1, n) / n < level))
+
+
 def empirical_quantile(sample, u: float) -> float:
     """Empirical quantile ``inf{x : ecdf(x) >= u}`` for ``u`` in (0, 1].
 
-    Returns the ``ceil(n*u)``-th order statistic. The index is nudged so the
-    infimum definition holds exactly for the float grid ``k/n``.
+    Returns the k-th order statistic for the smallest k with ``k/n >= u``.
     """
     arr = _as_sample(sample, "sample")
     if not (0.0 < u <= 1.0):
         raise ValueError(f"quantile level must lie in (0, 1], got {u}")
-    n = arr.size
-    k = min(max(int(math.ceil(n * u)), 1), n)
-    while k > 1 and (k - 1) / n >= u:
-        k -= 1
-    while k < n and k / n < u:
-        k += 1
+    k = _quantile_rank(arr.size, u)
     return float(np.partition(arr, k - 1)[k - 1])
 
 

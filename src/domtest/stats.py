@@ -67,12 +67,14 @@ def wmw_statistic(odc: OdcCurve) -> StatisticValue:
 
     Computes ``sqrt(T_n)/n2 * sum_i max(R_hat(i/n2) - i/n2, 0)`` with the sum
     carried out over exact integer numerators, so the result is the correctly
-    rounded float of a rational number.
+    rounded float of a rational number. The total passes int64 once ``n1*n2**2``
+    nears ``2**63``, so it is formed in Python ints from int64 partial sums.
     """
     n1, n2 = odc.n1, odc.n2
     m = odc.counts
     i = np.arange(1, n2 + 1, dtype=np.int64)
-    excess = int(np.maximum(m * n2 - i * n1, 0).sum())
+    pos = m * n2 > i * n1
+    excess = n2 * int(m[pos].sum()) - n1 * int(i[pos].sum())
     value = _sqrt_tn(n1, n2) * (excess / (n1 * n2 * n2))
     return StatisticValue(value=value, kind=StatKind.WMW)
 

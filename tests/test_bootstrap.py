@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from domtest import (
@@ -264,6 +266,23 @@ class TestCriticalValue:
         with pytest.raises(ValueError):
             critical_value([1.0], 0.6)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        draws=st.lists(st.integers(0, 30), min_size=1, max_size=400),
+        alpha_k=st.integers(1, 499),
+        stat_halves=st.integers(-1, 61),
+    )
+    @example(draws=list(range(1, 101)), alpha_k=450, stat_halves=111)
+    @example(draws=list(range(1, 101)), alpha_k=430, stat_halves=115)
+    def test_rejects_exactly_when_p_value_at_most_alpha(self, draws, alpha_k, stat_halves):
+        # run_test's decision with eta = 0 against its p-value; tied draws
+        # and statistics on and between the draw values
+        arr = np.array(draws, dtype=np.float64)
+        alpha = alpha_k / 1000
+        stat = stat_halves / 2
+        p_value = float(np.count_nonzero(arr >= stat)) / arr.size
+        assert (stat > critical_value(arr, alpha)) == (p_value <= alpha)
+
 
 class TestBootstrapConfig:
     @pytest.mark.parametrize("seed", [True, False, -1, 2**64, 1.5, "3"])
@@ -394,13 +413,18 @@ class TestEnumerationOracle:
 class TestBatchEngine:
     def test_wmw_batch_agrees_with_public_ops(self):
         # drive the vectorized path and the one-draw public ops with the same
-        # weight matrices; the draws must coincide to rounding
+        # weight matrices; the draws must coincide bit for bit
         rng = np.random.default_rng(46)
-        for pairing in (Pairing.INDEPENDENT, Pairing.MATCHED):
-            data = _random_data(rng, max_n=25, pairing=pairing)
+        datasets = [
+            _random_data(rng, max_n=25, pairing=pairing)
+            for pairing in (Pairing.INDEPENDENT, Pairing.MATCHED)
+        ]
+        tied = rng.integers(0, 5, 19).astype(float), rng.integers(0, 5, 23).astype(float)
+        datasets.append(TwoSampleData(x1=tied[0], x2=tied[1]))
+        for data in datasets:
             prep = _Prepared(data)
             w1 = _multinomial_rows(np.random.default_rng(77), data.n1, 64)
-            if pairing is Pairing.MATCHED:
+            if data.pairing is Pairing.MATCHED:
                 w2 = w1
             else:
                 w2 = _multinomial_rows(np.random.default_rng(78), data.n2, 64)
@@ -413,7 +437,7 @@ class TestBatchEngine:
                     w = BootstrapWeights(w1=w1[r], w2=w2[r])
                     star = bootstrap_odc(data, w)
                     expected.append(bootstrap_statistic_modified(star, base, v, tau))
-                assert_allclose(draws, expected, rtol=1e-12, atol=1e-15)
+                assert_array_equal(draws, expected)
 
     def test_chunked_batches_match_single_batch(self, monkeypatch):
         data = TwoSampleData(x1=np.linspace(0, 1, 30), x2=np.linspace(0.01, 1.2, 40))

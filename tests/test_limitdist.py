@@ -8,6 +8,7 @@ from domtest import (
     BridgePathConfig,
     LimitVarianceInputs,
     bridge_paths,
+    empirical_quantile,
     limit_quantiles,
     limit_variance,
     simulate_bridge_functional,
@@ -61,6 +62,12 @@ class TestLimitQuantiles:
     def test_simple_grid(self):
         samples = np.arange(1.0, 101.0)
         assert limit_quantiles(samples, [0.9])[0] == 90.0
+
+    def test_rank_on_float_grid(self):
+        # 204/375 == 0.544 in floats, while ceil(375*0.544) is 205
+        samples = np.arange(1.0, 376.0)
+        assert limit_quantiles(samples, [0.544])[0] == 204.0
+        assert empirical_quantile(samples, 0.544) == 204.0
 
     def test_constant_samples(self):
         samples = np.full(50, 2.5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from domtest import (
+    OdcCurve,
     StatKind,
     TwoSampleData,
     effective_size,
@@ -59,6 +60,15 @@ class TestWmwStatistic:
             value = wmw_statistic(curve).value
             below = np.all(curve.values <= curve.grid)
             assert (value == 0.0) == bool(below)
+
+    def test_large_n_sum_does_not_wrap(self):
+        # first sample wholly below the second at n1 = n2 = n: the excess
+        # sum is n*n*(n-1)/2, and n1*n2**2 is past 2**63
+        n = 2_700_000
+        curve = OdcCurve(values=np.ones(n), n1=n, n2=n)
+        excess = n * n * (n - 1) // 2
+        expected = math.sqrt(n * n / (2 * n)) * (excess / (n * n * n))
+        assert wmw_statistic(curve).value == expected
 
 
 class TestAreaFunctional:
