@@ -279,14 +279,8 @@ class _Prepared:
         self.data = data
         self.n1 = data.n1
         self.n2 = data.n2
-        self.perm1 = np.argsort(data.x1, kind="stable")
-        self.perm2 = np.argsort(data.x2, kind="stable")
-        x1s = data.x1[self.perm1]
-        x2s = data.x2[self.perm2]
-        self.m = np.searchsorted(x1s, x2s, side="right").astype(np.int32)
-        pooled = np.concatenate([x1s, x2s])
-        self.cnt1 = np.searchsorted(x1s, pooled, side="right")
-        self.cnt2 = np.searchsorted(x2s, pooled, side="right")
+        self.perm1, self.perm2, self.cnt1, self.cnt2 = data._ranks
+        self.m = self.cnt1[self.n1 :].astype(np.int32)
         # Recentered KS differences lie within +-2*n1*n2; int32 holds them
         # up to n1*n2 < 2**30, beyond that int64 does.
         self.ks_dtype = np.int32 if self.n1 * self.n2 < 2**30 else np.int64

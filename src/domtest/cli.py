@@ -338,8 +338,8 @@ def _cmd_null_quantiles(args) -> int:
         levels = [float(part) for part in args.levels.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid levels: {args.levels!r}") from None
-    if not levels:
-        raise argparse.ArgumentTypeError("need at least one quantile level")
+    if not levels or not all(0.0 < p < 1.0 for p in levels):
+        raise argparse.ArgumentTypeError(f"need quantile levels in (0, 1), got {args.levels!r}")
     config = _usage_checked(
         lambda: BridgePathConfig(num_paths=args.paths, grid_size=args.grid, seed=args.seed)
     )

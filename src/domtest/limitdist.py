@@ -125,7 +125,7 @@ def limit_quantiles(samples, levels) -> np.ndarray:
     if arr.size == 0:
         raise ValueError("need at least one sample")
     lv = np.atleast_1d(np.asarray(levels, dtype=np.float64))
-    if np.any(lv <= 0.0) or np.any(lv >= 1.0):
+    if not np.all((lv > 0.0) & (lv < 1.0)):
         raise ValueError("quantile levels must lie in (0, 1)")
     srt = np.sort(arr)
     return np.array([srt[_quantile_rank(arr.size, p) - 1] for p in lv])

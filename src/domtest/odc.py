@@ -9,6 +9,7 @@ are safe from concurrent code without coordination.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -76,9 +77,26 @@ class TwoSampleData:
 
     @property
     def ties_detected(self) -> bool:
-        """True when the pooled sample contains duplicate values."""
-        pooled = np.concatenate([self.x1, self.x2])
-        return bool(np.unique(pooled).size < pooled.size)
+        """True when the pooled sample contains duplicate values: a value held
+        k times gives k pooled points the same total count."""
+        _, _, cnt1, cnt2 = self._ranks
+        return bool(np.bincount(cnt1 + cnt2).max() > 1)
+
+    @functools.cached_property
+    def _ranks(self):
+        """The one sort of the data that every rank-based quantity reads:
+        ``(perm1, perm2, cnt1, cnt2)``, the stable argsorts of each sample and
+        each sample's right-continuous count at every pooled sorted point
+        (sorted x1, then sorted x2), all read-only. ``x1`` and ``x2`` are
+        read-only copies, so the cache cannot go stale."""
+        perm1 = np.argsort(self.x1, kind="stable")
+        perm2 = np.argsort(self.x2, kind="stable")
+        pooled = np.concatenate([self.x1[perm1], self.x2[perm2]])
+        cnt1 = np.searchsorted(pooled[: self.n1], pooled, side="right")
+        cnt2 = np.searchsorted(pooled[self.n1 :], pooled, side="right")
+        for arr in (perm1, perm2, cnt1, cnt2):
+            arr.setflags(write=False)
+        return perm1, perm2, cnt1, cnt2
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,9 +196,7 @@ def empirical_odc(data: TwoSampleData) -> OdcCurve:
     observations, so it is invariant under common strictly increasing
     transformations of all data.
     """
-    x1s = np.sort(data.x1)
-    x2s = np.sort(data.x2, kind="stable")
-    counts = np.searchsorted(x1s, x2s, side="right")
+    counts = data._ranks[2][data.n1 :]
     return OdcCurve(values=counts / data.n1, n1=data.n1, n2=data.n2)
 
 
@@ -193,8 +209,8 @@ def rank_profile(data: TwoSampleData) -> RankProfile:
     if data.pairing is not Pairing.MATCHED:
         raise ValueError("rank_profile requires matched pairs")
     n = data.n1
-    x1s = np.sort(data.x1)
-    x2s = np.sort(data.x2)
-    u = np.searchsorted(x1s, data.x1, side="right") / n
-    v = np.searchsorted(x2s, data.x2, side="right") / n
+    perm1, perm2, cnt1, cnt2 = data._ranks
+    u, v = np.empty(n), np.empty(n)
+    u[perm1] = cnt1[:n] / n
+    v[perm2] = cnt2[n:] / n
     return RankProfile(u_ranks=u, v_ranks=v)

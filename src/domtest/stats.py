@@ -93,18 +93,12 @@ def odc_area_functional(odc: OdcCurve) -> StatisticValue:
     over the common denominator ``2*n1^2*n2^2`` and rounded once.
     """
     n1, n2 = odc.n1, odc.n2
-    m = odc.counts
     base = wmw_statistic(odc).value
-    extra_num = 0
-    for i in range(1, n2 + 1):
-        lhs = int(m[i - 1]) * n2
-        if lhs <= (i - 1) * n1:
-            continue
-        if lhs >= i * n1:
-            extra_num += n1 * n1
-        else:
-            gap = lhs - (i - 1) * n1
-            extra_num += gap * gap
+    # Cell i adds gap**2, gap = m*n2 - (i-1)*n1 clipped to [0, n1]; int64 sums
+    # over blocks of cells stay below 2**63 and are added in Python ints.
+    sq = np.clip(odc.counts * n2 - np.arange(n2, dtype=np.int64) * n1, 0, n1) ** 2
+    step = max(1, (2**63 - 1) // (n1 * n1))
+    extra_num = sum(int(sq[j : j + step].sum()) for j in range(0, n2, step))
     denom = 2 * n1 * n1 * n2 * n2
     value = base + _sqrt_tn(n1, n2) * (extra_num / denom)
     return StatisticValue(value=value, kind=StatKind.ODC_AREA)
@@ -118,11 +112,7 @@ def ks_statistic(data: TwoSampleData) -> StatisticValue:
     result is floored at zero.
     """
     n1, n2 = data.n1, data.n2
-    x1s = np.sort(data.x1)
-    x2s = np.sort(data.x2)
-    pooled = np.concatenate([x1s, x2s])
-    cnt1 = np.searchsorted(x1s, pooled, side="right").astype(np.int64)
-    cnt2 = np.searchsorted(x2s, pooled, side="right").astype(np.int64)
+    _, _, cnt1, cnt2 = data._ranks
     best = int(np.max(cnt1 * n2 - cnt2 * n1))
     value = _sqrt_tn(n1, n2) * (max(best, 0) / (n1 * n2))
     return StatisticValue(value=value, kind=StatKind.KS)

@@ -48,6 +48,31 @@ def bootstrap_odc_brute(x1, x2, w1, w2):
     return out
 
 
+def area_excess_brute(counts, n1, n2):
+    """Triangle excess of the ODC area over the WMW sum, as the integer
+    numerator over ``2*n1^2*n2^2``, cell by cell in Python ints."""
+    extra_num = 0
+    for i in range(1, n2 + 1):
+        lhs = int(counts[i - 1]) * n2
+        if lhs <= (i - 1) * n1:
+            continue
+        if lhs >= i * n1:
+            extra_num += n1 * n1
+        else:
+            gap = lhs - (i - 1) * n1
+            extra_num += gap * gap
+    return extra_num
+
+
+def ks_excess_brute(x1, x2):
+    """Largest ``n2*#(x1 <= x) - n1*#(x2 <= x)`` over the pooled points."""
+    n1, n2 = len(x1), len(x2)
+    return max(
+        n2 * sum(1 for a in x1 if a <= x) - n1 * sum(1 for b in x2 if b <= x)
+        for x in list(x1) + list(x2)
+    )
+
+
 # ---------------------------------------------------------------------------
 # bootstrap statistics from the definitions
 

@@ -202,3 +202,15 @@ class TestMain:
         argv = ["null-quantiles", "--paths", "10", "--grid", "10", "--seed", "-1"]
         assert main(argv) == 2
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels", ["1.0", "0", "-0.1", "nan", "nan,0.95"])
+    def test_null_quantiles_bad_levels_exit_2_before_simulating(
+        self, monkeypatch, capsys, levels
+    ):
+        def fail(config):
+            raise AssertionError("levels must be checked before any path is simulated")
+
+        monkeypatch.setattr("domtest.cli.simulate_bridge_functional", fail)
+        argv = ["null-quantiles", "--paths", "10", "--grid", "10", "--levels", levels]
+        assert main(argv) == 2
+        assert "usage error" in capsys.readouterr().err

@@ -86,6 +86,8 @@ class TestLimitQuantiles:
             limit_quantiles([1.0], [0.0])
         with pytest.raises(ValueError):
             limit_quantiles([1.0], [1.0])
+        with pytest.raises(ValueError):
+            limit_quantiles(np.arange(1.0, 11.0), [float("nan")])
 
     def test_bridge_quantiles_near_reference(self):
         config = BridgePathConfig(num_paths=60_000, grid_size=500, seed=4)

@@ -14,7 +14,7 @@ from domtest import (
     wmw_statistic,
 )
 
-from oracles import quadrature_area
+from oracles import area_excess_brute, quadrature_area
 
 
 def _random_curve(rng, max_n=60):
@@ -99,6 +99,25 @@ class TestAreaFunctional:
             approx = quadrature_area(curve.values, curve.n1, curve.n2, grid=200_000)
             sqrt_tn = math.sqrt(curve.n1 * curve.n2 / (curve.n1 + curve.n2))
             assert abs(approx - exact) <= 2.0 * sqrt_tn / 200_000
+
+    def test_matches_cell_loop_on_tied_unequal_n(self):
+        rng = np.random.default_rng(26)
+        for _ in range(300):
+            n1, n2 = (int(n) for n in rng.choice(np.arange(1, 60), size=2, replace=False))
+            data = TwoSampleData(x1=rng.integers(0, 6, n1), x2=rng.integers(0, 6, n2))
+            curve = empirical_odc(data)
+            extra = area_excess_brute(curve.counts, n1, n2)
+            sqrt_tn = math.sqrt(n1 * n2 / (n1 + n2))
+            expected = wmw_statistic(curve).value + sqrt_tn * (extra / (2 * n1**2 * n2**2))
+            assert odc_area_functional(curve).value == expected
+
+    def test_large_n_sum_does_not_wrap(self):
+        # every cell of the all-ones curve is full, so the excess numerator is
+        # n * n**2, past 2**63 at this n
+        n = 2_700_000
+        curve = OdcCurve(values=np.ones(n), n1=n, n2=n)
+        expected = wmw_statistic(curve).value + math.sqrt(n / 2) * (n**3 / (2 * n**4))
+        assert odc_area_functional(curve).value == expected
 
     def test_quadrature_analytic_corner(self):
         curve = empirical_odc(TwoSampleData(x1=[1.0, 2.0], x2=[3.0, 4.0]))
