@@ -5,6 +5,10 @@ normalized dominance statistic converges to the integral of the positive
 part of a Brownian bridge. This module simulates that functional on a grid,
 extracts its empirical quantiles, and evaluates the pointwise variance of
 the general limit process for a given weight, curve slope, and copula.
+
+The simulation works in place on row blocks of about 2**16 grid elements,
+so its memory grows with the grid, not the number of paths. Chunks of 2048
+paths with one child seed each fix the stream; the block size changes no sample.
 """
 
 from __future__ import annotations
@@ -25,7 +29,13 @@ __all__ = [
     "limit_variance",
 ]
 
-_CHUNK_PATHS = 2048
+_CHUNK_PATHS = 2048  # paths per child seed: part of the random stream
+_BLOCK_ELEMENTS = 2**16  # grid elements per row block: a cache size, no sample depends on it
+
+
+def _check_int(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,16 +45,9 @@ class BridgePathConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_paths < 1:
-            raise ValueError("num_paths must be positive")
-        if self.grid_size < 2:
-            raise ValueError("grid_size must be at least 2")
-        if (
-            isinstance(self.seed, bool)
-            or not isinstance(self.seed, (int, np.integer))
-            or self.seed < 0
-        ):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _check_int("num_paths", self.num_paths, 1)
+        _check_int("grid_size", self.grid_size, 2)
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -79,20 +82,27 @@ class LimitVarianceInputs:
             raise ValueError("C_uu violates the Frechet bounds")
 
 
-def bridge_paths(rng: np.random.Generator, num_paths: int, grid_size: int) -> np.ndarray:
-    """Brownian bridge paths on ``j/grid_size``, j = 0..grid_size.
+def _pinned_walk(rng: np.random.Generator, out: np.ndarray, tmp: np.ndarray) -> None:
+    """Fill each row of the C-contiguous ``out`` with a bridge at ``u = j/g``, j = 1..g.
 
-    A scaled Gaussian random walk W is pinned by ``B(u) = W(u) - u*W(1)``,
-    which has the exact bridge law at the grid points and is identically
-    zero at both endpoints.
+    A scaled Gaussian walk pinned by ``B(u) = W(u) - u*W(1)`` has the exact bridge law
+    there. Rows draw from ``rng`` in order, so row blocks equal one matrix; ``tmp`` is scratch.
     """
-    steps = rng.standard_normal((num_paths, grid_size)) * math.sqrt(1.0 / grid_size)
-    walk = np.cumsum(steps, axis=1)
-    u = np.arange(1, grid_size + 1, dtype=np.float64) / grid_size
-    paths = np.empty((num_paths, grid_size + 1), dtype=np.float64)
-    paths[:, 0] = 0.0
-    paths[:, 1:] = walk - u[np.newaxis, :] * walk[:, -1:]
-    return paths
+    g = out.shape[1]
+    rng.standard_normal(out=out)
+    out *= math.sqrt(1.0 / g)
+    np.cumsum(out, axis=1, out=out)
+    np.multiply(np.arange(1, g + 1, dtype=np.float64) / g, out[:, -1:], out=tmp)
+    out -= tmp
+
+
+def bridge_paths(rng: np.random.Generator, num_paths: int, grid_size: int) -> np.ndarray:
+    """Brownian bridge paths on ``j/grid_size``, j = 0..grid_size, pinned to zero at both ends."""
+    _check_int("num_paths", num_paths, 0)
+    _check_int("grid_size", grid_size, 1)
+    walk = np.empty((num_paths, grid_size), dtype=np.float64)
+    _pinned_walk(rng, walk, np.empty_like(walk))
+    return np.hstack((np.zeros((num_paths, 1)), walk))
 
 
 def simulate_bridge_functional(config: BridgePathConfig) -> np.ndarray:
@@ -103,15 +113,18 @@ def simulate_bridge_functional(config: BridgePathConfig) -> np.ndarray:
     so a parallel driver assigning chunks to workers reproduces the same
     values in any order.
     """
-    g = config.grid_size
-    nchunks = (config.num_paths + _CHUNK_PATHS - 1) // _CHUNK_PATHS
-    children = np.random.SeedSequence(config.seed).spawn(nchunks)
-    out = np.empty(config.num_paths, dtype=np.float64)
-    for c in range(nchunks):
-        lo = c * _CHUNK_PATHS
-        rows = min(_CHUNK_PATHS, config.num_paths - lo)
-        paths = bridge_paths(np.random.default_rng(children[c]), rows, g)
-        out[lo : lo + rows] = np.maximum(paths[:, 1:], 0.0).sum(axis=1) / g
+    g, n = config.grid_size, config.num_paths
+    block = min(_CHUNK_PATHS, n, max(1, _BLOCK_ELEMENTS // g))
+    buf, tmp = np.empty((block, g)), np.empty((block, g))
+    children = np.random.SeedSequence(config.seed).spawn((n + _CHUNK_PATHS - 1) // _CHUNK_PATHS)
+    out = np.empty(n, dtype=np.float64)
+    for c, rng in enumerate(map(np.random.default_rng, children)):
+        end = min(n, (c + 1) * _CHUNK_PATHS)
+        for lo in range(c * _CHUNK_PATHS, end, block):
+            walk = buf[: min(block, end - lo)]
+            _pinned_walk(rng, walk, tmp[: len(walk)])
+            np.maximum(walk, 0.0, out=walk)
+            out[lo : lo + len(walk)] = walk.sum(axis=1) / g
     return out
 
 
@@ -124,6 +137,8 @@ def limit_quantiles(samples, levels) -> np.ndarray:
     arr = np.asarray(samples, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise ValueError("need at least one sample")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("samples must be finite")
     lv = np.atleast_1d(np.asarray(levels, dtype=np.float64))
     if not np.all((lv > 0.0) & (lv < 1.0)):
         raise ValueError("quantile levels must lie in (0, 1)")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -248,3 +249,27 @@ def bvn_diag_ref(u, rho):
         limit=400,
     )
     return val
+
+
+# ---------------------------------------------------------------------------
+# Brownian bridge functional
+
+
+def bridge_functional_reference(num_paths, grid_size, seed, chunk_paths=2048):
+    """Positive-part bridge integrals from whole-chunk matrices.
+
+    Each chunk of ``chunk_paths`` paths draws its ``(rows, grid_size)``
+    normals at once from its own child of ``SeedSequence(seed)``, builds the
+    walk with a fresh ``cumsum``, pins it by ``W(u) - u*W(1)`` and sums the
+    positive part by the rectangle rule.
+    """
+    children = np.random.SeedSequence(seed).spawn(-(-num_paths // chunk_paths))
+    u = np.arange(1, grid_size + 1, dtype=np.float64) / grid_size
+    out = []
+    for c, child in enumerate(children):
+        rows = min(chunk_paths, num_paths - c * chunk_paths)
+        steps = np.random.default_rng(child).standard_normal((rows, grid_size))
+        walk = np.cumsum(steps * math.sqrt(1.0 / grid_size), axis=1)
+        bridge = walk - u[np.newaxis, :] * walk[:, -1:]
+        out.append(np.maximum(bridge, 0.0).sum(axis=1) / grid_size)
+    return np.concatenate(out)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +15,14 @@ from domtest import (
     limit_variance,
     simulate_bridge_functional,
 )
+from oracles import bridge_functional_reference
 
 # analytic mean of the positive-part bridge integral
 BRIDGE_MEAN = math.pi / (8.0 * math.sqrt(2.0 * math.pi))
+
+
+def sha256(arr):
+    return hashlib.sha256(arr.tobytes()).hexdigest()
 
 
 class TestBridgePaths:
@@ -31,8 +38,65 @@ class TestBridgePaths:
         var = paths[:, g // 2].var()
         assert_allclose(var, 0.25, atol=0.005)
 
+    def test_golden_bytes(self):
+        # recorded from the whole-matrix implementation that the row-block kernel replaced
+        paths = bridge_paths(np.random.default_rng(51), 200, 64)
+        assert sha256(paths) == "64978e4b9234cbb8f7e6986da02e6f7f00835c41061ad20394fd043793440504"
+
+    def test_zero_paths(self):
+        assert bridge_paths(np.random.default_rng(0), 0, 5).shape == (0, 6)
+
+    @pytest.mark.parametrize(
+        "num_paths, grid_size, name",
+        [(3, 0, "grid_size"), (3, -2, "grid_size"), (-1, 5, "num_paths"), (2.5, 5, "num_paths"),
+         (3, 2.5, "grid_size"), (True, 5, "num_paths")],
+    )
+    def test_bad_sizes_name_the_argument(self, num_paths, grid_size, name):
+        with pytest.raises(ValueError, match=name):
+            bridge_paths(np.random.default_rng(0), num_paths, grid_size)
+
 
 class TestBridgeFunctional:
+    # sha256 of the samples' bytes, recorded from the whole-matrix implementation
+    # that the row-block kernel replaced
+    @pytest.mark.parametrize(
+        "num_paths, grid_size, seed, digest",
+        [
+            (20000, 1000, 7, "59e234a1cd43d763b8d4716dc625d21d39162cd36236a4029976d500c439934d"),
+            (2049, 1000, 5, "3e103ed5ced21eca177eb5b74c510cc5749a807b9505e9ea89f9ca7ef86d836b"),
+            (5000, 37, 0, "778f6572bdd3cc73e937a8f483602e98d12b20d074091144b77c411db815971f"),
+            (3000, 2, 11, "7f14bb06f52bd3ec9bbf53f33de2a14a0605db1620eb130b7da7c271a3225b98"),
+            (1, 2, 3, "707d23aac6350832b39607a2c0859a5b8a75ea6e570b4882af9ac1229de482df"),
+        ],
+    )
+    def test_golden_bytes(self, num_paths, grid_size, seed, digest):
+        config = BridgePathConfig(num_paths=num_paths, grid_size=grid_size, seed=seed)
+        assert sha256(simulate_bridge_functional(config)) == digest
+
+    # one row; several row blocks and two seed chunks; a partial last block
+    @pytest.mark.parametrize("num_paths, grid_size, seed", [(1, 2, 0), (2100, 100, 1), (700, 1000, 2)])
+    def test_matches_whole_matrix_reference(self, num_paths, grid_size, seed):
+        config = BridgePathConfig(num_paths=num_paths, grid_size=grid_size, seed=seed)
+        assert_array_equal(
+            simulate_bridge_functional(config),
+            bridge_functional_reference(num_paths, grid_size, seed),
+        )
+
+    def test_peak_memory_depends_on_grid_not_paths(self):
+        def traced_peak_without_output(num_paths, grid_size):
+            config = BridgePathConfig(num_paths=num_paths, grid_size=grid_size, seed=0)
+            tracemalloc.start()
+            try:
+                simulate_bridge_functional(config)
+                return tracemalloc.get_traced_memory()[1] - 8 * num_paths
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak_without_output(4096, 2000) < 8_000_000
+        small = traced_peak_without_output(2048, 1000)
+        large = traced_peak_without_output(8192, 1000)
+        assert abs(large - small) < 1_000_000
+
     def test_samples_nonnegative(self):
         samples = simulate_bridge_functional(BridgePathConfig(num_paths=500, grid_size=50, seed=1))
         assert np.all(samples >= 0.0)
@@ -56,6 +120,20 @@ class TestBridgeFunctional:
         for seed in (-1, True, 1.5):
             with pytest.raises(ValueError):
                 BridgePathConfig(num_paths=10, seed=seed)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_paths", 2.5), ("num_paths", True), ("num_paths", np.float64(10.0)),
+         ("grid_size", 2.5), ("grid_size", True), ("grid_size", "100")],
+    )
+    def test_sizes_must_be_integers(self, field, value):
+        kwargs = {"num_paths": 10, "grid_size": 100, field: value}
+        with pytest.raises(ValueError, match=field):
+            BridgePathConfig(**kwargs)
+
+    def test_numpy_integer_sizes_accepted(self):
+        config = BridgePathConfig(num_paths=np.int64(3), grid_size=np.int32(4), seed=np.uint8(1))
+        assert simulate_bridge_functional(config).shape == (3,)
 
 
 class TestLimitQuantiles:
@@ -88,6 +166,11 @@ class TestLimitQuantiles:
             limit_quantiles([1.0], [1.0])
         with pytest.raises(ValueError):
             limit_quantiles(np.arange(1.0, 11.0), [float("nan")])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            limit_quantiles([1.0, bad, 2.0], [0.9])
 
     def test_bridge_quantiles_near_reference(self):
         config = BridgePathConfig(num_paths=60_000, grid_size=500, seed=4)
