@@ -138,24 +138,27 @@ class TestReport:
     statistic_kind: StatKind
 
 
+def _counts(categories: np.ndarray) -> np.ndarray:
+    """Row-wise counts of a matrix of category draws, one column per category."""
+    rows, n = categories.shape
+    flat = categories + np.arange(0, rows * n, n)[:, None]
+    return np.bincount(flat.ravel(), minlength=rows * n).reshape(rows, n)
+
+
+def _categories(w: np.ndarray) -> np.ndarray:
+    """Category draws with row-wise counts ``w``, in category order; each row
+    of ``w`` must sum to its length. ``_counts`` inverts it."""
+    rows, n = w.shape
+    return np.repeat(np.tile(np.arange(n), rows), w.ravel()).reshape(rows, n)
+
+
 def _multinomial_rows(rng: np.random.Generator, categories: int, nrows: int) -> np.ndarray:
     """Draw ``nrows`` equal-probability multinomial count vectors.
 
     Each row is built from ``categories`` independent uniform category draws,
     counted, which is exactly multinomial.
     """
-    draws = rng.integers(0, categories, size=(nrows, categories))
-    draws += (np.arange(nrows) * categories)[:, None]
-    counts = np.bincount(draws.ravel(), minlength=nrows * categories)
-    return counts.reshape(nrows, categories).astype(np.int64, copy=False)
-
-
-def _weight_rows(data: TwoSampleData, rng: np.random.Generator, rows: int):
-    """``rows`` weight rows per sample, w1 drawn first; matched pairs share w1."""
-    w1 = _multinomial_rows(rng, data.n1, rows)
-    if data.pairing is Pairing.MATCHED:
-        return w1, w1
-    return w1, _multinomial_rows(rng, data.n2, rows)
+    return _counts(rng.integers(0, categories, size=(nrows, categories)))
 
 
 def draw_weights(data: TwoSampleData, rng: np.random.Generator) -> BootstrapWeights:
@@ -164,8 +167,10 @@ def draw_weights(data: TwoSampleData, rng: np.random.Generator) -> BootstrapWeig
     Matched pairs share a single weight vector across both samples, so pairs
     are kept intact by the resampling.
     """
-    w1, w2 = _weight_rows(data, rng, 1)
-    return BootstrapWeights(w1=w1[0], w2=w2[0])
+    w1 = _multinomial_rows(rng, data.n1, 1)[0]
+    if data.pairing is Pairing.MATCHED:
+        return BootstrapWeights(w1=w1, w2=w1)
+    return BootstrapWeights(w1=w1, w2=_multinomial_rows(rng, data.n2, 1)[0])
 
 
 def bootstrap_odc(data: TwoSampleData, weights: BootstrapWeights) -> OdcCurve:
@@ -177,7 +182,8 @@ def bootstrap_odc(data: TwoSampleData, weights: BootstrapWeights) -> OdcCurve:
     """
     if weights.w1.size != data.n1 or weights.w2.size != data.n2:
         raise ValueError("weight lengths do not match the sample sizes")
-    counts = _Prepared(data).odc_counts(weights.w1[None], weights.w2[None])[0]
+    c1, c2 = _categories(weights.w1[None]), _categories(weights.w2[None])
+    counts = _Prepared(data).odc_counts(c1, c2)[0]
     return OdcCurve(values=counts / data.n1, n1=data.n1, n2=data.n2)
 
 
@@ -285,6 +291,14 @@ class _Prepared:
         # up to n1*n2 < 2**30, beyond that int64 does.
         self.ks_dtype = np.int32 if self.n1 * self.n2 < 2**30 else np.int64
         self.ks_base = (self.cnt1 * self.n2 - self.cnt2 * self.n1).astype(self.ks_dtype)
+        # g1[j] counts the sorted x2 values strictly below x1[j], those with
+        # m <= p when x1[j] is sorted x1 number p; so a resampled x1[j] counts
+        # toward ODC cell k exactly when k >= g1[j].
+        self.g1 = np.empty(self.n1, dtype=np.int32)
+        self.g1[self.perm1] = np.cumsum(np.bincount(self.m, minlength=self.n1 + 1)[: self.n1])
+        # rank2[j] is the position of x2[j] in the sorted second sample.
+        self.rank2 = np.empty(self.n2, dtype=np.int32)
+        self.rank2[self.perm2] = np.arange(self.n2, dtype=np.int32)
 
     def keep_columns(self, tau: float) -> np.ndarray | None:
         """Grid columns retained by the contact-set screen, None for all."""
@@ -298,21 +312,35 @@ class _Prepared:
         np.cumsum(np.take(w, perm, axis=1), axis=1, dtype=dtype, out=cum[:, 1:])
         return cum
 
-    def odc_counts(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        """Bootstrap ODC numerators, one int32 row per row of weights."""
-        # Every count is at most n1, so int32 holds the whole pipeline.
-        cum1 = self._cumsum0(w1, self.perm1, np.int32)
-        # The i-th smallest resampled x2 is sorted x2 number k with k repeated
-        # by its weight; repeating the values h[k] = cum1[m[k]] directly gives
-        # the bootstrap ODC counts without materializing k.
-        h = np.take(cum1, self.m, axis=1)
-        rstar = np.repeat(h.ravel(), np.take(w2, self.perm2, axis=1).ravel())
-        return rstar.reshape(h.shape)
+    def odc_counts(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+        """Bootstrap ODC numerators from category draws (row r resamples
+        ``x1[c1[r]]`` and ``x2[c2[r]]``), one int32 row per row of draws."""
+        rows = c1.shape[0]
+        width = self.n2 + 1
+        offsets = np.arange(0, rows * width, width, dtype=np.int32)[:, None]
+        # h[r, k] counts resampled x1 at or below sorted x2 number k. Every
+        # count is at most n1, so int32 holds the running sums.
+        hits = np.take(self.g1, c1)
+        hits += offsets
+        hist = np.bincount(hits.ravel(), minlength=rows * width).reshape(rows, width)
+        h = np.cumsum(hist, axis=1, dtype=np.int32)
+        # The i-th smallest resampled x2 is sorted x2 number k[r, i].
+        k = np.take(self.rank2, c2)
+        k.sort(axis=1)
+        k += offsets
+        return np.take(h.ravel(), k)
 
-    def wmw_draws(self, w1: np.ndarray, w2: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
-        excess = self.odc_counts(w1, w2)
+    def wmw_rows(self, c1: np.ndarray, c2: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+        excess = self.odc_counts(c1, c2)
         excess -= self.m
         return _wmw_sums(excess, keep, self.n1, self.n2)
+
+    def wmw_draws(self, w1: np.ndarray, w2: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+        return self.wmw_rows(_categories(w1), _categories(w2), keep)
+
+    def ks_rows(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+        w1 = _counts(c1)
+        return self.ks_draws(w1, w1 if c2 is c1 else _counts(c2))
 
     def ks_draws(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
         cum1 = self._cumsum0(w1, self.perm1, self.ks_dtype)
@@ -332,27 +360,30 @@ def _bootstrap_draws(
 ) -> np.ndarray:
     """All bootstrap statistic draws for one test, vectorized in batches.
 
-    Weights are drawn a batch at a time (see ``_BATCH_ELEMENTS``) and each
-    batch is reduced to draws in cache-sized sub-chunks of rows.
+    Category draws come a batch at a time (see ``_BATCH_ELEMENTS``), all x1
+    rows before all x2 rows, and each batch is reduced to statistic draws in
+    cache-sized sub-chunks of rows.
     """
     data = prep.data
     if config.statistic_kind is StatKind.WMW:
-        keep = prep.keep_columns(config.tau)
-        draw = functools.partial(prep.wmw_draws, keep=keep)
+        draw = functools.partial(prep.wmw_rows, keep=prep.keep_columns(config.tau))
     else:
-        draw = prep.ks_draws
+        draw = prep.ks_rows
+    shared = data.pairing is Pairing.MATCHED
     per_row = data.n1 + data.n2
     batch = max(1, min(config.num_reps, _BATCH_ELEMENTS // per_row))
     chunk = max(1, _CHUNK_ELEMENTS // per_row)
     out = np.empty(config.num_reps, dtype=np.float64)
-    done = 0
-    while done < config.num_reps:
+    for done in range(0, config.num_reps, batch):
         rows = min(batch, config.num_reps - done)
-        w1, w2 = _weight_rows(data, rng, rows)
+        c1 = rng.integers(0, data.n1, size=(rows, data.n1))
+        c2 = c1 if shared else rng.integers(0, data.n2, size=(rows, data.n2))
         for lo in range(0, rows, chunk):
             hi = min(lo + chunk, rows)
-            out[done + lo : done + hi] = draw(w1[lo:hi], w2[lo:hi])
-        done += rows
+            part1 = c1[lo:hi]
+            out[done + lo : done + hi] = draw(part1, part1 if shared else c2[lo:hi])
+        # Free this batch before the next is drawn: one batch alive at a time.
+        del c1, c2, part1
     return out
 
 

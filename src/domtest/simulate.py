@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .bootstrap import BootstrapConfig, run_test
 from .odc import Pairing, TwoSampleData
@@ -112,6 +111,8 @@ class RateResult:
 
 def normal_cdf(x):
     """Standard normal CDF, elementwise on arrays."""
+    from scipy.special import ndtr
+
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("normal_cdf needs finite input")
@@ -121,6 +122,8 @@ def normal_cdf(x):
 
 def normal_quantile(p):
     """Standard normal quantile for p in (0, 1), elementwise on arrays."""
+    from scipy.special import ndtri
+
     arr = np.asarray(p, dtype=np.float64)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("normal_quantile needs p in (0, 1)")
@@ -130,6 +133,8 @@ def normal_quantile(p):
 
 def odc_family_eval(family: OdcFamily, u):
     """Evaluate the family curve at ``u`` in (0, 1), elementwise on arrays."""
+    from scipy.special import ndtr, ndtri
+
     arr = np.asarray(u, dtype=np.float64)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("family curves are defined on (0, 1) only")
@@ -147,6 +152,8 @@ def odc_family_eval(family: OdcFamily, u):
 
 def gaussian_copula_pair(rho: float, rng: np.random.Generator) -> tuple[float, float]:
     """One draw from the Gaussian copula: two uniforms with normal dependence."""
+    from scipy.special import ndtr
+
     if not (-1.0 < rho < 1.0):
         raise ValueError(f"need |rho| < 1, got {rho}")
     z1, z2 = rng.standard_normal(2)
@@ -159,6 +166,8 @@ def gaussian_copula_pair(rho: float, rng: np.random.Generator) -> tuple[float, f
 
 
 def _copula_uniforms(spec: ScenarioSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.special import ndtr
+
     if spec.pairing is Pairing.MATCHED and spec.copula.kind is CopulaKind.GAUSSIAN:
         rho = spec.copula.rho
         z1 = rng.standard_normal(spec.n1)

@@ -109,6 +109,35 @@ def bootstrap_stat_brute(x1, x2, w1, w2, tau, matched):
     return sqrt_tn / n2 * total
 
 
+def odc_counts_reference(x1, x2, w1, w2):
+    """Bootstrap ODC numerators from count matrices, one row per weight row.
+
+    The count-matrix reduction: running totals of ``w1`` over sorted x1,
+    read at each sorted x2 value, then each sorted x2 value's total repeated
+    by its own weight, which lists the totals at the resampled x2 in order.
+    """
+    x1, x2 = np.asarray(x1), np.asarray(x2)
+    w1, w2 = np.asarray(w1, dtype=np.int64), np.asarray(w2, dtype=np.int64)
+    perm1 = np.argsort(x1, kind="stable")
+    perm2 = np.argsort(x2, kind="stable")
+    m = np.searchsorted(x1[perm1], x2[perm2], side="right")
+    cum1 = np.zeros((w1.shape[0], x1.size + 1), dtype=np.int64)
+    cum1[:, 1:] = np.cumsum(w1[:, perm1], axis=1)
+    h = cum1[:, m]
+    return np.repeat(h.ravel(), w2[:, perm2].ravel()).reshape(w2.shape), m
+
+
+def wmw_draws_reference(x1, x2, w1, w2, keep):
+    """WMW bootstrap draws from count matrices: clipped recentered ODC
+    numerators, summed over the kept columns (all when ``keep`` is None)."""
+    n1, n2 = len(x1), len(x2)
+    rstar, m = odc_counts_reference(x1, x2, w1, w2)
+    excess = np.maximum(rstar - m, 0)
+    if keep is not None:
+        excess = excess[:, keep]
+    return excess.sum(axis=1) * (math.sqrt(n1 * n2 / (n1 + n2)) / (n1 * n2))
+
+
 # ---------------------------------------------------------------------------
 # exhaustive enumeration of the multinomial bootstrap (small n only)
 

@@ -1,10 +1,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import domtest
 from domtest import Pairing, StatKind
 from domtest.cli import emit_report, main, parse_csv, parse_report
 from domtest import BootstrapConfig, TwoSampleData, run_test
@@ -214,3 +218,18 @@ class TestMain:
         argv = ["null-quantiles", "--paths", "10", "--grid", "10", "--levels", levels]
         assert main(argv) == 2
         assert "usage error" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # `domtest test` and `null-quantiles` never need scipy; only the
+    # simulation code imports it, when it runs.
+    src = os.path.dirname(os.path.dirname(domtest.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, domtest.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
