@@ -138,10 +138,15 @@ class TestReport:
     statistic_kind: StatKind
 
 
+def _row_offsets(rows: int, width: int, dtype) -> np.ndarray:
+    """Flat index of the first element of each row of a (rows, width) matrix."""
+    return np.arange(0, rows * width, width, dtype=dtype)[:, None]
+
+
 def _counts(categories: np.ndarray) -> np.ndarray:
     """Row-wise counts of a matrix of category draws, one column per category."""
     rows, n = categories.shape
-    flat = categories + np.arange(0, rows * n, n)[:, None]
+    flat = categories + _row_offsets(rows, n, np.int64)
     return np.bincount(flat.ravel(), minlength=rows * n).reshape(rows, n)
 
 
@@ -279,7 +284,13 @@ def critical_value(draws, alpha: float) -> float:
 
 
 class _Prepared:
-    """Per-dataset quantities reused across all bootstrap replications."""
+    """Per-dataset quantities reused across all bootstrap replications.
+
+    Each statistic is reduced in two stages: a head from a row's x1 draws,
+    then the row's draw from its head and its x2 draws. The fields that only
+    one statistic reads are built on first use, so WMW draws never build the
+    KS state and KS draws never build the WMW state.
+    """
 
     def __init__(self, data: TwoSampleData):
         self.data = data
@@ -290,50 +301,75 @@ class _Prepared:
         # Recentered KS differences lie within +-2*n1*n2; int32 holds them
         # up to n1*n2 < 2**30, beyond that int64 does.
         self.ks_dtype = np.int32 if self.n1 * self.n2 < 2**30 else np.int64
-        self.ks_base = (self.cnt1 * self.n2 - self.cnt2 * self.n1).astype(self.ks_dtype)
-        # g1[j] counts the sorted x2 values strictly below x1[j], those with
-        # m <= p when x1[j] is sorted x1 number p; so a resampled x1[j] counts
-        # toward ODC cell k exactly when k >= g1[j].
-        self.g1 = np.empty(self.n1, dtype=np.int32)
-        self.g1[self.perm1] = np.cumsum(np.bincount(self.m, minlength=self.n1 + 1)[: self.n1])
-        # rank2[j] is the position of x2[j] in the sorted second sample.
-        self.rank2 = np.empty(self.n2, dtype=np.int32)
-        self.rank2[self.perm2] = np.arange(self.n2, dtype=np.int32)
+
+    @functools.cached_property
+    def g1(self) -> np.ndarray:
+        """g1[j] counts the sorted x2 values strictly below x1[j], those with
+        m <= p when x1[j] is sorted x1 number p; so a resampled x1[j] counts
+        toward ODC cell k exactly when k >= g1[j]."""
+        g1 = np.empty(self.n1, dtype=np.int64)
+        g1[self.perm1] = np.cumsum(np.bincount(self.m, minlength=self.n1 + 1)[: self.n1])
+        return g1
+
+    @functools.cached_property
+    def rank2(self) -> np.ndarray:
+        """rank2[j] is the position of x2[j] in the sorted second sample;
+        int32, which sorts twice as fast as int64."""
+        rank2 = np.empty(self.n2, dtype=np.int32)
+        rank2[self.perm2] = np.arange(self.n2, dtype=np.int32)
+        return rank2
+
+    @functools.cached_property
+    def ks_base(self) -> np.ndarray:
+        return (self.cnt1 * self.n2 - self.cnt2 * self.n1).astype(self.ks_dtype)
 
     def keep_columns(self, tau: float) -> np.ndarray | None:
         """Grid columns retained by the contact-set screen, None for all."""
         return _kept_columns(self.m, self.n1, variance_profile(self.data).v, tau)
 
     @staticmethod
-    def _cumsum0(w: np.ndarray, perm: np.ndarray, dtype) -> np.ndarray:
+    def _cumsum0(w: np.ndarray, perm: np.ndarray, dtype, out=None) -> np.ndarray:
         """Row-wise running weight totals in sorted order, with a leading 0."""
-        cum = np.empty((w.shape[0], w.shape[1] + 1), dtype=dtype)
-        cum[:, 0] = 0
-        np.cumsum(np.take(w, perm, axis=1), axis=1, dtype=dtype, out=cum[:, 1:])
-        return cum
+        if out is None:
+            out = np.empty((w.shape[0], w.shape[1] + 1), dtype=dtype)
+        out[:, 0] = 0
+        np.cumsum(np.take(w, perm, axis=1), axis=1, dtype=dtype, out=out[:, 1:])
+        return out
+
+    def wmw_head(self, hits: np.ndarray, out=None) -> np.ndarray:
+        """h[r, k] counts the resampled x1 of row r at or below sorted x2
+        number k, from the hits ``g1[c1]`` of its category draws ``c1``
+        (changed in place). Every count is at most n1, so int32 holds them."""
+        rows, width = hits.shape[0], self.n2 + 1
+        hits += _row_offsets(rows, width, hits.dtype)
+        # int64 hits reach ``bincount`` without a converted copy.
+        hist = np.bincount(hits.ravel(), minlength=rows * width).reshape(rows, width)
+        return np.cumsum(hist, axis=1, dtype=np.int32, out=out)
+
+    def odc_tail(self, head: np.ndarray, ranks: np.ndarray, out=None) -> np.ndarray:
+        """Bootstrap ODC numerators from ``wmw_head`` rows and the ranks
+        ``rank2[c2]`` of x2 category draws ``c2`` (sorted in place)."""
+        # The i-th smallest resampled x2 is then sorted x2 number ranks[r, i].
+        ranks.sort(axis=1)
+        ranks += _row_offsets(*head.shape, ranks.dtype)
+        # mode="clip" lets ``take`` write into ``out`` without buffering a
+        # copy; every index is in range.
+        return np.take(head.ravel(), ranks, out=out, mode="clip")
 
     def odc_counts(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
         """Bootstrap ODC numerators from category draws (row r resamples
         ``x1[c1[r]]`` and ``x2[c2[r]]``), one int32 row per row of draws."""
-        rows = c1.shape[0]
-        width = self.n2 + 1
-        offsets = np.arange(0, rows * width, width, dtype=np.int32)[:, None]
-        # h[r, k] counts resampled x1 at or below sorted x2 number k. Every
-        # count is at most n1, so int32 holds the running sums.
-        hits = np.take(self.g1, c1)
-        hits += offsets
-        hist = np.bincount(hits.ravel(), minlength=rows * width).reshape(rows, width)
-        h = np.cumsum(hist, axis=1, dtype=np.int32)
-        # The i-th smallest resampled x2 is sorted x2 number k[r, i].
-        k = np.take(self.rank2, c2)
-        k.sort(axis=1)
-        k += offsets
-        return np.take(h.ravel(), k)
+        return self.odc_tail(self.wmw_head(self.g1[c1]), self.rank2[c2])
 
-    def wmw_rows(self, c1: np.ndarray, c2: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
-        excess = self.odc_counts(c1, c2)
+    def wmw_tail(
+        self, head: np.ndarray, ranks: np.ndarray, keep: np.ndarray | None, out=None
+    ) -> np.ndarray:
+        excess = self.odc_tail(head, ranks, out)
         excess -= self.m
         return _wmw_sums(excess, keep, self.n1, self.n2)
+
+    def wmw_rows(self, c1: np.ndarray, c2: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+        return self.wmw_tail(self.wmw_head(self.g1[c1]), self.rank2[c2], keep)
 
     def wmw_draws(self, w1: np.ndarray, w2: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
         return self.wmw_rows(_categories(w1), _categories(w2), keep)
@@ -343,9 +379,16 @@ class _Prepared:
         return self.ks_draws(w1, w1 if c2 is c1 else _counts(c2))
 
     def ks_draws(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        cum1 = self._cumsum0(w1, self.perm1, self.ks_dtype)
+        return self.ks_tail(self.ks_head(w1), w2)
+
+    def ks_head(self, w1: np.ndarray, out=None) -> np.ndarray:
+        """Running x1 weight totals in sorted order, with a leading 0."""
+        return self._cumsum0(w1, self.perm1, self.ks_dtype, out)
+
+    def ks_tail(self, head: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        """KS draws from ``ks_head`` rows and the x2 weights ``w2``."""
         cum2 = self._cumsum0(w2, self.perm2, self.ks_dtype)
-        diff = np.take(cum1, self.cnt1, axis=1)
+        diff = np.take(head, self.cnt1, axis=1)
         diff *= self.n2
         part = np.take(cum2, self.cnt2, axis=1)
         part *= self.n1
@@ -361,29 +404,67 @@ def _bootstrap_draws(
     """All bootstrap statistic draws for one test, vectorized in batches.
 
     Category draws come a batch at a time (see ``_BATCH_ELEMENTS``), all x1
-    rows before all x2 rows, and each batch is reduced to statistic draws in
-    cache-sized sub-chunks of rows.
+    rows before all x2 rows, and are reduced in cache-sized sub-chunks of
+    rows. Matched pairs draw their shared batch whole. Independent samples
+    never hold a batch of draws: each x1 sub-chunk is drawn and folded at
+    once into a prefix matrix of head rows for the batch, then each x2
+    sub-chunk is drawn and finishes its rows from it. ``integers`` takes
+    every value from the bit generator's stream, whose half-word buffer
+    lives in the generator state, so k calls of r rows equal one call of k*r
+    rows and no draw depends on the sub-chunk size.
     """
     data = prep.data
-    if config.statistic_kind is StatKind.WMW:
-        draw = functools.partial(prep.wmw_rows, keep=prep.keep_columns(config.tau))
-    else:
-        draw = prep.ks_rows
-    shared = data.pairing is Pairing.MATCHED
-    per_row = data.n1 + data.n2
+    n1, n2 = data.n1, data.n2
+    per_row = n1 + n2
     batch = max(1, min(config.num_reps, _BATCH_ELEMENTS // per_row))
-    chunk = max(1, _CHUNK_ELEMENTS // per_row)
+    chunk = max(1, min(batch, _CHUNK_ELEMENTS // per_row))
+    wmw = config.statistic_kind is StatKind.WMW
+    keep = prep.keep_columns(config.tau) if wmw else None
     out = np.empty(config.num_reps, dtype=np.float64)
+    if data.pairing is Pairing.MATCHED:
+        draw = functools.partial(prep.wmw_rows, keep=keep) if wmw else prep.ks_rows
+        for done in range(0, config.num_reps, batch):
+            rows = min(batch, config.num_reps - done)
+            c = rng.integers(0, n1, size=(rows, n1))
+            for lo in range(0, rows, chunk):
+                # One object for both samples: ks_rows counts shared draws once.
+                part = c[lo : lo + chunk]
+                out[done + lo : done + lo + len(part)] = draw(part, part)
+            # Free this batch before the next is drawn: one batch alive at a time.
+            del c, part
+        return out
+
+    # ``look1``/``look2`` turn a sub-chunk's draws into what its stage reads;
+    # the draws die when they return. WMW reuses its per-chunk buffers for
+    # the whole call.
+    if wmw:
+        head = np.empty((batch, n2 + 1), dtype=np.int32)
+        hits = np.empty((chunk, n1), dtype=np.int64)
+        ranks = np.empty((chunk, n2), dtype=np.int32)
+        gathered = np.empty((chunk, n2), dtype=np.int32)
+
+        def look1(c1):
+            return np.take(prep.g1, c1, out=hits[: len(c1)], mode="clip")
+
+        def look2(c2):
+            return np.take(prep.rank2, c2, out=ranks[: len(c2)], mode="clip")
+
+        def finish(head_rows, ranks_rows):
+            return prep.wmw_tail(head_rows, ranks_rows, keep, gathered[: len(ranks_rows)])
+
+        fold = prep.wmw_head
+    else:
+        head = np.empty((batch, n1 + 1), dtype=prep.ks_dtype)
+        look1 = look2 = _counts
+        fold, finish = prep.ks_head, prep.ks_tail
     for done in range(0, config.num_reps, batch):
         rows = min(batch, config.num_reps - done)
-        c1 = rng.integers(0, data.n1, size=(rows, data.n1))
-        c2 = c1 if shared else rng.integers(0, data.n2, size=(rows, data.n2))
-        for lo in range(0, rows, chunk):
-            hi = min(lo + chunk, rows)
-            part1 = c1[lo:hi]
-            out[done + lo : done + hi] = draw(part1, part1 if shared else c2[lo:hi])
-        # Free this batch before the next is drawn: one batch alive at a time.
-        del c1, c2, part1
+        spans = [(lo, min(lo + chunk, rows)) for lo in range(0, rows, chunk)]
+        for lo, hi in spans:
+            fold(look1(rng.integers(0, n1, size=(hi - lo, n1))), head[lo:hi])
+        for lo, hi in spans:
+            x2 = look2(rng.integers(0, n2, size=(hi - lo, n2)))
+            out[done + lo : done + hi] = finish(head[lo:hi], x2)
     return out
 
 

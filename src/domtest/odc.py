@@ -131,10 +131,14 @@ class OdcCurve:
         """The evaluation grid ``i/n2``, i = 1..n2."""
         return np.arange(1, self.n2 + 1, dtype=np.float64) / self.n2
 
-    @property
+    @functools.cached_property
     def counts(self) -> np.ndarray:
-        """Integer numerators ``k`` with ``values = k/n1``, recovered exactly."""
-        return np.rint(self.values * self.n1).astype(np.int64)
+        """Integer numerators ``k`` with ``values = k/n1``, recovered exactly
+        once and read-only. ``values`` is read-only, so the cache cannot go
+        stale."""
+        counts = np.rint(self.values * self.n1).astype(np.int64)
+        counts.setflags(write=False)
+        return counts
 
 
 @dataclass(frozen=True, eq=False)

@@ -142,3 +142,88 @@ def test_wmw_run_test_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 48e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize(
+    "bit_generator",
+    [np.random.MT19937, np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64],
+    ids=lambda g: g.__name__,
+)
+@pytest.mark.parametrize("bound", [1, 2, 7, 4999, 2**31 + 11, 2**32 + 5])
+def test_integers_over_row_blocks_equal_one_call(bit_generator, bound):
+    # Independent samples draw each batch one sub-chunk of rows at a time.
+    # That keeps the seeded draws only because ``integers`` buffers nothing
+    # outside the bit generator's state. The odd-length prefix leaves half of
+    # a 64-bit word buffered for the 32-bit path (bounds up to 2**32).
+    whole, split = (np.random.Generator(bit_generator(123)) for _ in range(2))
+    for gen in (whole, split):
+        gen.integers(0, 7, size=3)
+    want = whole.integers(0, bound, size=(11, 13))
+    got = np.concatenate([split.integers(0, bound, size=(r, 13)) for r in (1, 4, 2, 3, 1)])
+    assert_array_equal(got, want)
+    # both generators are left in the same state, half-word buffer included
+    assert_array_equal(split.integers(0, 7, size=5), whole.integers(0, 7, size=5))
+    assert split.random() == whole.random()
+
+
+@pytest.mark.parametrize("kind", [StatKind.WMW, StatKind.KS])
+def test_independent_run_test_holds_no_batch_of_draws(kind):
+    # Independent samples stream their category draws: a batch holds one
+    # prefix matrix of head rows (400 x 5001 int32, 8 MB) and cache-sized
+    # sub-chunk buffers, never a batch of draws (400 x 5000 int64, 16 MB per
+    # sample).
+    rng = np.random.default_rng(5)
+    data = TwoSampleData(x1=rng.random(5000), x2=rng.random(5000) ** 1.2)
+    config = BootstrapConfig(num_reps=999, seed=1, statistic_kind=kind)
+    tracemalloc.start()
+    try:
+        run_test(data, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_prepared_builds_only_what_its_statistic_reads():
+    data = TwoSampleData(x1=[0.5, 2.0, 1.0], x2=[1.0, 3.0])
+    c1, c2 = np.array([[0, 0, 2]]), np.array([[1, 0]])
+    wmw = _Prepared(data)
+    wmw.odc_counts(c1, c2)
+    ks = _Prepared(data)
+    ks.ks_rows(c1, c2)
+    assert {"g1", "rank2"} <= vars(wmw).keys()
+    assert "ks_base" not in vars(wmw)
+    assert "ks_base" in vars(ks)
+    assert not {"g1", "rank2"} & vars(ks).keys()
+
+
+@st.composite
+def _dataset(draw):
+    matched = draw(st.booleans())
+    n1 = draw(st.integers(1, 30))
+    n2 = n1 if matched else draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        values = st.floats(-10, 10, allow_nan=False, allow_infinity=False, width=32)
+    else:
+        values = _VALUES
+    x1 = draw(st.lists(values, min_size=n1, max_size=n1))
+    x2 = draw(st.lists(values, min_size=n2, max_size=n2))
+    pairing = Pairing.MATCHED if matched else Pairing.INDEPENDENT
+    return TwoSampleData(x1=x1, x2=x2, pairing=pairing)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=_dataset(),
+    tau=st.sampled_from([0.3, 0.75, 1.5]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_screened_critical_value_at_most_standard(data, tau, seed):
+    # Same seed, same weights: each screened draw sums a subset of the
+    # standard draw's nonnegative cells, so it can only be smaller.
+    fin = run_test(data, BootstrapConfig(tau=tau, num_reps=99, seed=seed))
+    std = run_test(data, BootstrapConfig(tau=math.inf, num_reps=99, seed=seed))
+    assert fin.statistic == std.statistic
+    assert fin.critical_value <= std.critical_value
+    assert fin.p_value <= std.p_value
+

@@ -152,6 +152,13 @@ class TestEmpiricalOdc:
         curve = empirical_odc(data)
         assert_array_equal(curve.counts / data.n1, curve.values)
 
+    def test_counts_cached_and_read_only(self):
+        curve = OdcCurve(values=[0.25, 0.5, 1.0], n1=4, n2=3)
+        assert curve.counts is curve.counts
+        assert_array_equal(curve.counts, [1, 2, 4])
+        with pytest.raises(ValueError):
+            curve.counts[0] = 0
+
     def test_tied_x2_well_defined(self):
         # duplicate second-sample values get the same ODC value regardless of order
         a = empirical_odc(TwoSampleData(x1=[1.0, 2.0, 3.0], x2=[2.0, 2.0, 1.0]))
