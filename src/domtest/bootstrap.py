@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .odc import OdcCurve, Pairing, RankProfile, TwoSampleData, empirical_odc, rank_profile
+from .odc import (
+    OdcCurve, Pairing, RankProfile, TwoSampleData, _check_int, empirical_odc, rank_profile
+)
 from .stats import StatKind, _sqrt_tn, ks_statistic, wmw_statistic
 
 __all__ = [
@@ -104,8 +106,7 @@ class BootstrapConfig:
             raise ValueError(f"alpha must lie in (0, 0.5), got {self.alpha}")
         if not (self.tau > 0.0):
             raise ValueError(f"tau must be positive (inf allowed), got {self.tau}")
-        if self.num_reps < 1:
-            raise ValueError("num_reps must be at least 1")
+        _check_int("num_reps", self.num_reps, 1)
         if not (self.eta >= 0.0):
             raise ValueError("eta must be nonnegative")
         if (
@@ -368,15 +369,9 @@ class _Prepared:
         excess -= self.m
         return _wmw_sums(excess, keep, self.n1, self.n2)
 
-    def wmw_rows(self, c1: np.ndarray, c2: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
-        return self.wmw_tail(self.wmw_head(self.g1[c1]), self.rank2[c2], keep)
-
     def wmw_draws(self, w1: np.ndarray, w2: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
-        return self.wmw_rows(_categories(w1), _categories(w2), keep)
-
-    def ks_rows(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        w1 = _counts(c1)
-        return self.ks_draws(w1, w1 if c2 is c1 else _counts(c2))
+        head = self.wmw_head(self.g1[_categories(w1)])
+        return self.wmw_tail(head, self.rank2[_categories(w2)], keep)
 
     def ks_draws(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
         return self.ks_tail(self.ks_head(w1), w2)
@@ -404,47 +399,36 @@ def _bootstrap_draws(
     """All bootstrap statistic draws for one test, vectorized in batches.
 
     Category draws come a batch at a time (see ``_BATCH_ELEMENTS``), all x1
-    rows before all x2 rows, and are reduced in cache-sized sub-chunks of
-    rows. Matched pairs draw their shared batch whole. Independent samples
-    never hold a batch of draws: each x1 sub-chunk is drawn and folded at
-    once into a prefix matrix of head rows for the batch, then each x2
-    sub-chunk is drawn and finishes its rows from it. ``integers`` takes
-    every value from the bit generator's stream, whose half-word buffer
-    lives in the generator state, so k calls of r rows equal one call of k*r
-    rows and no draw depends on the sub-chunk size.
+    rows before all x2 rows, and no batch of draws is ever held: each x1
+    sub-chunk is drawn and folded at once into a prefix matrix of head rows
+    for the batch. Matched pairs finish those rows from the same draws;
+    independent samples then draw each x2 sub-chunk and finish its rows from
+    the prefix matrix. ``integers`` takes every value from the bit
+    generator's stream, whose half-word buffer lives in the generator state,
+    so k calls of r rows equal one call of k*r rows and no draw depends on
+    the sub-chunk size.
     """
     data = prep.data
     n1, n2 = data.n1, data.n2
+    matched = data.pairing is Pairing.MATCHED
     per_row = n1 + n2
     batch = max(1, min(config.num_reps, _BATCH_ELEMENTS // per_row))
     chunk = max(1, min(batch, _CHUNK_ELEMENTS // per_row))
-    wmw = config.statistic_kind is StatKind.WMW
-    keep = prep.keep_columns(config.tau) if wmw else None
     out = np.empty(config.num_reps, dtype=np.float64)
-    if data.pairing is Pairing.MATCHED:
-        draw = functools.partial(prep.wmw_rows, keep=keep) if wmw else prep.ks_rows
-        for done in range(0, config.num_reps, batch):
-            rows = min(batch, config.num_reps - done)
-            c = rng.integers(0, n1, size=(rows, n1))
-            for lo in range(0, rows, chunk):
-                # One object for both samples: ks_rows counts shared draws once.
-                part = c[lo : lo + chunk]
-                out[done + lo : done + lo + len(part)] = draw(part, part)
-            # Free this batch before the next is drawn: one batch alive at a time.
-            del c, part
-        return out
-
-    # ``look1``/``look2`` turn a sub-chunk's draws into what its stage reads;
-    # the draws die when they return. WMW reuses its per-chunk buffers for
-    # the whole call.
-    if wmw:
+    # ``look1`` turns a sub-chunk's x1 draws into what the head stage reads,
+    # plus, for matched pairs, what the tail stage reads; ``look2`` does the
+    # tail's part for x2 draws. The draws die when they return. WMW reuses
+    # its per-chunk buffers for the whole call.
+    if config.statistic_kind is StatKind.WMW:
+        keep = prep.keep_columns(config.tau)
         head = np.empty((batch, n2 + 1), dtype=np.int32)
         hits = np.empty((chunk, n1), dtype=np.int64)
         ranks = np.empty((chunk, n2), dtype=np.int32)
         gathered = np.empty((chunk, n2), dtype=np.int32)
 
         def look1(c1):
-            return np.take(prep.g1, c1, out=hits[: len(c1)], mode="clip")
+            found = np.take(prep.g1, c1, out=hits[: len(c1)], mode="clip")
+            return found, look2(c1) if matched else None
 
         def look2(c2):
             return np.take(prep.rank2, c2, out=ranks[: len(c2)], mode="clip")
@@ -455,16 +439,27 @@ def _bootstrap_draws(
         fold = prep.wmw_head
     else:
         head = np.empty((batch, n1 + 1), dtype=prep.ks_dtype)
-        look1 = look2 = _counts
-        fold, finish = prep.ks_head, prep.ks_tail
+
+        def look1(c1):
+            # Matched pairs share their weights: one count feeds both stages.
+            w1 = _counts(c1)
+            return w1, w1
+
+        look2, fold, finish = _counts, prep.ks_head, prep.ks_tail
     for done in range(0, config.num_reps, batch):
         rows = min(batch, config.num_reps - done)
         spans = [(lo, min(lo + chunk, rows)) for lo in range(0, rows, chunk)]
         for lo, hi in spans:
-            fold(look1(rng.integers(0, n1, size=(hi - lo, n1))), head[lo:hi])
-        for lo, hi in spans:
-            x2 = look2(rng.integers(0, n2, size=(hi - lo, n2)))
-            out[done + lo : done + hi] = finish(head[lo:hi], x2)
+            x1, x2 = look1(rng.integers(0, n1, size=(hi - lo, n1)))
+            fold(x1, head[lo:hi])
+            if matched:
+                out[done + lo : done + hi] = finish(head[lo:hi], x2)
+        # Drop the last lookups before drawing again.
+        del x1, x2
+        if not matched:
+            for lo, hi in spans:
+                x2 = look2(rng.integers(0, n2, size=(hi - lo, n2)))
+                out[done + lo : done + hi] = finish(head[lo:hi], x2)
     return out
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .odc import _quantile_rank
+from .odc import _check_int, _quantile_rank
 
 __all__ = [
     "BridgePathConfig",
@@ -31,11 +31,6 @@ __all__ = [
 
 _CHUNK_PATHS = 2048  # paths per child seed: part of the random stream
 _BLOCK_ELEMENTS = 2**16  # grid elements per row block: a cache size, no sample depends on it
-
-
-def _check_int(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

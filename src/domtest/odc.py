@@ -45,6 +45,13 @@ def _as_sample(values, name: str) -> np.ndarray:
     return arr
 
 
+def _check_int(name: str, value, least: int) -> None:
+    """Reject anything but a true integer (numpy integers included, bool not)
+    of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class TwoSampleData:
     """Two univariate samples plus the sampling relationship between them.

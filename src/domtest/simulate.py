@@ -8,6 +8,7 @@ rank-based. Matched pairs get their dependence from a Gaussian copula.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .bootstrap import BootstrapConfig, run_test
-from .odc import Pairing, TwoSampleData
+from .odc import Pairing, TwoSampleData, _check_int
 
 __all__ = [
     "FamilyKind",
@@ -89,10 +90,8 @@ class ScenarioSpec:
     bootstrap: BootstrapConfig
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError("sample sizes must be positive")
-        if self.mc_reps < 1:
-            raise ValueError("mc_reps must be positive")
+        for name in ("n1", "n2", "mc_reps"):
+            _check_int(name, getattr(self, name), 1)
         if self.pairing is Pairing.MATCHED and self.n1 != self.n2:
             raise ValueError("matched pairs need n1 == n2")
         if self.pairing is Pairing.INDEPENDENT and self.copula.kind is not CopulaKind.PRODUCT:
@@ -150,37 +149,30 @@ def odc_family_eval(family: OdcFamily, u):
     return float(out) if np.isscalar(u) or arr.ndim == 0 else out
 
 
-def gaussian_copula_pair(rho: float, rng: np.random.Generator) -> tuple[float, float]:
-    """One draw from the Gaussian copula: two uniforms with normal dependence."""
+def _gaussian_copula(rho: float, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` draws from the Gaussian copula, all of ``z1`` before ``z2``."""
     from scipy.special import ndtr
 
-    if not (-1.0 < rho < 1.0):
-        raise ValueError(f"need |rho| < 1, got {rho}")
-    z1, z2 = rng.standard_normal(2)
+    z1 = rng.standard_normal(n)
+    z2 = rng.standard_normal(n)
     u = ndtr(z1)
     v = ndtr(rho * z1 + math.sqrt(1.0 - rho * rho) * z2)
-    return (
-        float(np.clip(u, _UNIT_LO, _UNIT_HI)),
-        float(np.clip(v, _UNIT_LO, _UNIT_HI)),
-    )
+    return np.clip(u, _UNIT_LO, _UNIT_HI), np.clip(v, _UNIT_LO, _UNIT_HI)
+
+
+def gaussian_copula_pair(rho: float, rng: np.random.Generator) -> tuple[float, float]:
+    """One draw from the Gaussian copula: two uniforms with normal dependence."""
+    if not (-1.0 < rho < 1.0):
+        raise ValueError(f"need |rho| < 1, got {rho}")
+    u, v = _gaussian_copula(rho, 1, rng)
+    return float(u[0]), float(v[0])
 
 
 def _copula_uniforms(spec: ScenarioSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    from scipy.special import ndtr
-
     if spec.pairing is Pairing.MATCHED and spec.copula.kind is CopulaKind.GAUSSIAN:
-        rho = spec.copula.rho
-        z1 = rng.standard_normal(spec.n1)
-        z2 = rng.standard_normal(spec.n1)
-        u = ndtr(z1)
-        v = ndtr(rho * z1 + math.sqrt(1.0 - rho * rho) * z2)
-    else:
-        u = rng.random(spec.n1)
-        v = rng.random(spec.n2)
-    return (
-        np.clip(u, _UNIT_LO, _UNIT_HI),
-        np.clip(v, _UNIT_LO, _UNIT_HI),
-    )
+        return _gaussian_copula(spec.copula.rho, spec.n1, rng)
+    u, v = rng.random(spec.n1), rng.random(spec.n2)
+    return np.clip(u, _UNIT_LO, _UNIT_HI), np.clip(v, _UNIT_LO, _UNIT_HI)
 
 
 def generate_dataset(spec: ScenarioSpec, rng: np.random.Generator) -> TwoSampleData:
@@ -195,23 +187,25 @@ def generate_dataset(spec: ScenarioSpec, rng: np.random.Generator) -> TwoSampleD
     return TwoSampleData(x1=u, x2=np.asarray(x2), pairing=spec.pairing)
 
 
+def _key_parts(spec) -> list[str]:
+    """Every field of a (nested) spec dataclass but ``seed``, in declaration
+    order, formatted by its declared type so that int-valued floats read alike."""
+    parts = []
+    for f in dataclasses.fields(spec):
+        if f.name == "seed":
+            continue
+        value = getattr(spec, f.name)
+        if dataclasses.is_dataclass(value):
+            parts += _key_parts(value)
+        elif isinstance(value, Enum):
+            parts.append(value.value)
+        else:
+            parts.append(repr(float(value)) if f.type == "float" else str(value))
+    return parts
+
+
 def _scenario_key(spec: ScenarioSpec) -> int:
-    parts = (
-        spec.family.kind.value,
-        repr(float(spec.family.gamma)),
-        str(spec.n1),
-        str(spec.n2),
-        spec.copula.kind.value,
-        repr(float(spec.copula.rho)),
-        spec.pairing.value,
-        str(spec.mc_reps),
-        repr(float(spec.bootstrap.alpha)),
-        repr(float(spec.bootstrap.tau)),
-        str(spec.bootstrap.num_reps),
-        repr(float(spec.bootstrap.eta)),
-        spec.bootstrap.statistic_kind.value,
-    )
-    digest = hashlib.md5("|".join(parts).encode("ascii"), usedforsecurity=False).digest()
+    digest = hashlib.md5("|".join(_key_parts(spec)).encode("ascii"), usedforsecurity=False).digest()
     return int.from_bytes(digest[:8], "little")
 
 

@@ -24,6 +24,7 @@ from domtest import (
     variance_profile,
 )
 from domtest.bootstrap import _Prepared, _bootstrap_draws, _multinomial_rows
+from domtest.cli import emit_report
 
 from oracles import (
     bootstrap_odc_brute,
@@ -294,6 +295,16 @@ class TestBootstrapConfig:
         for seed in (0, 2**64 - 1, np.uint64(5)):
             assert BootstrapConfig(seed=seed).seed == seed
 
+    @pytest.mark.parametrize("num_reps", [2.5, True, 0, np.int64(0)])
+    def test_num_reps_must_be_a_positive_integer(self, num_reps):
+        with pytest.raises(ValueError, match="num_reps"):
+            BootstrapConfig(num_reps=num_reps)
+
+    def test_numpy_integer_num_reps_runs(self):
+        config = BootstrapConfig(num_reps=np.int64(7))
+        data = TwoSampleData(x1=[1.0, 2.0], x2=[0.5, 3.0])
+        assert run_test(data, config) == run_test(data, BootstrapConfig(num_reps=7))
+
 
 class TestRunTest:
     def test_dominated_sample_never_rejects(self):
@@ -318,6 +329,31 @@ class TestRunTest:
             for g in (np.exp, lambda x: x**3 + 7.0):
                 moved = TwoSampleData(x1=g(data.x1), x2=g(data.x2), pairing=data.pairing)
                 assert run_test(moved, config) == base
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rank_invariance_property(self, data):
+        # Small integers carry heavy ties, and x**3 + 7 maps them to exact,
+        # strictly increasing floats, so the joint ranks cannot move.
+        matched = data.draw(st.booleans())
+        n1 = data.draw(st.integers(1, 25))
+        n2 = n1 if matched else data.draw(st.integers(1, 25))
+        span = data.draw(st.sampled_from([1, 3, 40]))
+        values = st.integers(-span, span)
+        x1 = np.array(data.draw(st.lists(values, min_size=n1, max_size=n1)), dtype=float)
+        x2 = np.array(data.draw(st.lists(values, min_size=n2, max_size=n2)), dtype=float)
+        pairing = Pairing.MATCHED if matched else Pairing.INDEPENDENT
+        config = BootstrapConfig(
+            tau=data.draw(st.sampled_from([math.inf, 0.75, 0.3])),
+            num_reps=data.draw(st.integers(1, 60)),
+            seed=data.draw(st.integers(0, 2**64 - 1)),
+            statistic_kind=data.draw(st.sampled_from([StatKind.WMW, StatKind.KS])),
+        )
+        base = run_test(TwoSampleData(x1=x1, x2=x2, pairing=pairing), config)
+        moved = TwoSampleData(x1=x1**3 + 7, x2=x2**3 + 7, pairing=pairing)
+        report = run_test(moved, config)
+        assert report == base
+        assert emit_report(report) == emit_report(base)
 
     def test_report_echoes_config(self):
         data = TwoSampleData(x1=[1.0, 2.0], x2=[0.5, 3.0])

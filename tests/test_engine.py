@@ -75,7 +75,6 @@ def test_draw_indexed_rows_equal_count_reference(case, tau):
     want_odc, _ = odc_counts_reference(data.x1, data.x2, w1, w2)
     assert_array_equal(prep.odc_counts(c1, c2), want_odc)
     want = wmw_draws_reference(data.x1, data.x2, w1, w2, keep)
-    assert_array_equal(prep.wmw_rows(c1, c2, keep), want)
     assert_array_equal(prep.wmw_draws(w1, w2, keep), want)
 
 
@@ -166,14 +165,14 @@ def test_integers_over_row_blocks_equal_one_call(bit_generator, bound):
     assert split.random() == whole.random()
 
 
+@pytest.mark.parametrize("pairing", [Pairing.INDEPENDENT, Pairing.MATCHED])
 @pytest.mark.parametrize("kind", [StatKind.WMW, StatKind.KS])
-def test_independent_run_test_holds_no_batch_of_draws(kind):
-    # Independent samples stream their category draws: a batch holds one
-    # prefix matrix of head rows (400 x 5001 int32, 8 MB) and cache-sized
-    # sub-chunk buffers, never a batch of draws (400 x 5000 int64, 16 MB per
-    # sample).
+def test_run_test_holds_no_batch_of_draws(kind, pairing):
+    # Both pairings stream their category draws: a batch holds one prefix
+    # matrix of head rows (400 x 5001 int32, 8 MB) and cache-sized sub-chunk
+    # buffers, never a batch of draws (400 x 5000 int64, 16 MB per sample).
     rng = np.random.default_rng(5)
-    data = TwoSampleData(x1=rng.random(5000), x2=rng.random(5000) ** 1.2)
+    data = TwoSampleData(x1=rng.random(5000), x2=rng.random(5000) ** 1.2, pairing=pairing)
     config = BootstrapConfig(num_reps=999, seed=1, statistic_kind=kind)
     tracemalloc.start()
     try:
@@ -181,7 +180,7 @@ def test_independent_run_test_holds_no_batch_of_draws(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak <= 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_prepared_builds_only_what_its_statistic_reads():
@@ -190,7 +189,7 @@ def test_prepared_builds_only_what_its_statistic_reads():
     wmw = _Prepared(data)
     wmw.odc_counts(c1, c2)
     ks = _Prepared(data)
-    ks.ks_rows(c1, c2)
+    ks.ks_draws(_counts(c1), _counts(c2))
     assert {"g1", "rank2"} <= vars(wmw).keys()
     assert "ks_base" not in vars(wmw)
     assert "ks_base" in vars(ks)

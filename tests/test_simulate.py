@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -109,6 +110,22 @@ class TestGaussianCopula:
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
         assert abs(corr) < 0.02
 
+    def test_pair_stream_pinned(self):
+        # sha256 of the float64 bytes, recorded before the pair became a
+        # one-row call of the copula that generate_dataset uses
+        rng = np.random.default_rng(2024)
+        draws = np.array([gaussian_copula_pair(0.6, rng) for _ in range(50)])
+        digest = hashlib.sha256(draws.tobytes()).hexdigest()
+        assert digest == "7bfd897f799a4c28e7e72c18cec7b9bdc360502c04249023028421475ee58cb1"
+
+    def test_matched_dataset_pinned(self):
+        spec = _spec(
+            OdcFamily(FamilyKind.POWER_ALT, 0.5), n1=40, n2=40, pairing=Pairing.MATCHED, rho=0.6
+        )
+        data = generate_dataset(spec, np.random.default_rng(2025))
+        digest = hashlib.sha256(data.x1.tobytes() + data.x2.tobytes()).hexdigest()
+        assert digest == "ed38fabfda7797ce544f87ac5e1dd9d97127268c36274584a476f85a734e8ac7"
+
     def test_underlying_normal_correlation(self):
         rng = np.random.default_rng(63)
         rho = 0.75
@@ -176,6 +193,21 @@ class TestGenerateDataset:
                 bootstrap=BootstrapConfig(),
             )
 
+    @pytest.mark.parametrize("field", ["n1", "n2", "mc_reps"])
+    @pytest.mark.parametrize("value", [2.5, True, 0])
+    def test_counts_must_be_positive_integers(self, field, value):
+        sizes = {"n1": 3, "n2": 4, "mc_reps": 5, field: value}
+        with pytest.raises(ValueError, match=field):
+            _spec(OdcFamily(FamilyKind.POWER_NULL, 0.0), **sizes)
+
+    @pytest.mark.parametrize("field", ["n1", "n2", "mc_reps"])
+    def test_numpy_integer_counts_accepted(self, field):
+        family = OdcFamily(FamilyKind.POWER_NULL, 0.0)
+        sizes = {"n1": 3, "n2": 4, "mc_reps": 5}
+        plain = _spec(family, **sizes, num_reps=9)
+        spec = _spec(family, **{**sizes, field: np.int64(sizes[field])}, num_reps=9)
+        assert rejection_rate(spec) == rejection_rate(plain)
+
 
 class TestRejectionRate:
     def test_bit_reproducible(self):
@@ -214,6 +246,19 @@ class TestRejectionRate:
                     statistic_kind=StatKind.KS,
                 ),
                 6974783679954012135,
+            ),
+            (
+                # an int gamma must key like the float it declares
+                _spec(
+                    OdcFamily(FamilyKind.POWER_NULL, 1),
+                    n1=25,
+                    n2=35,
+                    mc_reps=30,
+                    seed=2,
+                    tau=0.3,
+                    num_reps=99,
+                ),
+                10154096684281547860,
             ),
         ],
     )
