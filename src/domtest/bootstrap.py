@@ -109,11 +109,8 @@ class BootstrapConfig:
         _check_int("num_reps", self.num_reps, 1)
         if not (self.eta >= 0.0):
             raise ValueError("eta must be nonnegative")
-        if (
-            isinstance(self.seed, bool)
-            or not isinstance(self.seed, (int, np.integer))
-            or not (0 <= self.seed < 2**64)
-        ):
+        _check_int("seed", self.seed, 0)
+        if self.seed >= 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.statistic_kind not in (StatKind.WMW, StatKind.KS):
             raise ValueError(f"unsupported statistic kind: {self.statistic_kind}")
