@@ -107,11 +107,14 @@ class BootstrapConfig:
         if not (self.tau > 0.0):
             raise ValueError(f"tau must be positive (inf allowed), got {self.tau}")
         _check_int("num_reps", self.num_reps, 1)
+        # numpy integers pass the check; store Python ints so reports serialize.
+        object.__setattr__(self, "num_reps", int(self.num_reps))
         if not (self.eta >= 0.0):
             raise ValueError("eta must be nonnegative")
         _check_int("seed", self.seed, 0)
         if self.seed >= 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.statistic_kind not in (StatKind.WMW, StatKind.KS):
             raise ValueError(f"unsupported statistic kind: {self.statistic_kind}")
 
@@ -285,9 +288,10 @@ class _Prepared:
     """Per-dataset quantities reused across all bootstrap replications.
 
     Each statistic is reduced in two stages: a head from a row's x1 draws,
-    then the row's draw from its head and its x2 draws. The fields that only
-    one statistic reads are built on first use, so WMW draws never build the
-    KS state and KS draws never build the WMW state.
+    then the row's draw from its head and its x2 draws. Matched KS instead
+    reduces each row of shared weights in one pass (``ks_shared``). The
+    fields that only one statistic reads are built on first use, so WMW
+    draws never build the KS state and KS draws never build the WMW state.
     """
 
     def __init__(self, data: TwoSampleData):
@@ -320,6 +324,30 @@ class _Prepared:
     @functools.cached_property
     def ks_base(self) -> np.ndarray:
         return (self.cnt1 * self.n2 - self.cnt2 * self.n1).astype(self.ks_dtype)
+
+    @functools.cached_property
+    def ks_merged(self):
+        """``(src, coef, base, ends)`` for KS over the merged order of both
+        sorted samples, tied x2 values before tied x1 values: merged point q
+        is observation ``src[q]`` of x1 (``coef[q] = n2``) or of x2
+        (``coef[q] = -n1``), ``base = cumsum(coef)``, and ``ends`` lists the
+        positions that close a group of tied values, None when all do."""
+        n1, n2 = self.n1, self.n2
+        # Sorted x2 number j follows the x1 values strictly below it, those
+        # with cnt2 <= j; sorted x1 number i follows the cnt2[i] x2 values at
+        # or below it.
+        below = np.cumsum(np.bincount(self.cnt2[:n1], minlength=n2 + 1)[:n2])
+        pos1 = np.arange(n1) + self.cnt2[:n1]
+        pos2 = np.arange(n2) + below
+        src = np.empty(n1 + n2, dtype=np.intp)
+        src[pos1], src[pos2] = self.perm1, self.perm2
+        coef = np.empty(n1 + n2, dtype=np.int64)
+        coef[pos1], coef[pos2] = n2, -n1
+        base = np.cumsum(coef).astype(self.ks_dtype)
+        # A pooled point's value closes the group at position cnt1 + cnt2 - 1.
+        groups = np.bincount(self.cnt1 + self.cnt2)
+        ends = np.flatnonzero(groups) - 1 if groups.max() > 1 else None
+        return src, coef, base, ends
 
     def keep_columns(self, tau: float) -> np.ndarray | None:
         """Grid columns retained by the contact-set screen, None for all."""
@@ -386,6 +414,23 @@ class _Prepared:
         part *= self.n1
         diff -= part
         diff -= self.ks_base
+        return self._ks_scaled(diff)
+
+    def ks_shared(self, w: np.ndarray, gathered=None, running=None) -> np.ndarray:
+        """KS draws for matched pairs from their shared weights ``w``. The
+        recentered numerator ``n2*(cum1 - cnt1) - n1*(cum2 - cnt2)`` at each
+        pooled point is one running sum of ``coef*(w[src] - 1)`` over the
+        merged order, read where the point's group of tied values ends."""
+        src, coef, base, ends = self.ks_merged
+        gathered = np.take(w, src, axis=1, out=gathered, mode="clip")
+        gathered *= coef
+        diff = np.cumsum(gathered, axis=1, dtype=self.ks_dtype, out=running)
+        diff -= base
+        if ends is not None:
+            diff = np.take(diff, ends, axis=1)
+        return self._ks_scaled(diff)
+
+    def _ks_scaled(self, diff: np.ndarray) -> np.ndarray:
         best = np.maximum(diff.max(axis=1), 0)
         return best * (_sqrt_tn(self.n1, self.n2) / (self.n1 * self.n2))
 
@@ -400,10 +445,11 @@ def _bootstrap_draws(
     sub-chunk is drawn and folded at once into a prefix matrix of head rows
     for the batch. Matched pairs finish those rows from the same draws;
     independent samples then draw each x2 sub-chunk and finish its rows from
-    the prefix matrix. ``integers`` takes every value from the bit
-    generator's stream, whose half-word buffer lives in the generator state,
-    so k calls of r rows equal one call of k*r rows and no draw depends on
-    the sub-chunk size.
+    the prefix matrix. Matched KS needs no prefix matrix: it finishes each
+    sub-chunk in one pass over the merged pooled order. ``integers`` takes
+    every value from the bit generator's stream, whose half-word buffer lives
+    in the generator state, so k calls of r rows equal one call of k*r rows
+    and no draw depends on the sub-chunk size.
     """
     data = prep.data
     n1, n2 = data.n1, data.n2
@@ -412,10 +458,13 @@ def _bootstrap_draws(
     batch = max(1, min(config.num_reps, _BATCH_ELEMENTS // per_row))
     chunk = max(1, min(batch, _CHUNK_ELEMENTS // per_row))
     out = np.empty(config.num_reps, dtype=np.float64)
-    # ``look1`` turns a sub-chunk's x1 draws into what the head stage reads,
-    # plus, for matched pairs, what the tail stage reads; ``look2`` does the
-    # tail's part for x2 draws. The draws die when they return. WMW reuses
-    # its per-chunk buffers for the whole call.
+    # ``look1`` turns a sub-chunk's x1 draws into what ``fold`` reads, plus,
+    # for matched pairs, what ``finish`` reads; ``look2`` does the finish's
+    # part for x2 draws. The draws die when they return. A lookup stays bound
+    # until the next one is made (independent samples drop the last x1 lookup
+    # before drawing x2): freed sooner, it lets the heap trim pages that the
+    # next sub-chunk faults in again. WMW and matched KS reuse their per-chunk
+    # buffers for the whole call.
     if config.statistic_kind is StatKind.WMW:
         keep = prep.keep_columns(config.tau)
         head = np.empty((batch, n2 + 1), dtype=np.int32)
@@ -430,33 +479,53 @@ def _bootstrap_draws(
         def look2(c2):
             return np.take(prep.rank2, c2, out=ranks[: len(c2)], mode="clip")
 
-        def finish(head_rows, ranks_rows):
-            return prep.wmw_tail(head_rows, ranks_rows, keep, gathered[: len(ranks_rows)])
+        def fold(lo, hi, found):
+            prep.wmw_head(found, head[lo:hi])
 
-        fold = prep.wmw_head
+        def finish(lo, hi, ranks_rows):
+            return prep.wmw_tail(head[lo:hi], ranks_rows, keep, gathered[: hi - lo])
+
+    elif matched:
+        gathered = np.empty((chunk, per_row), dtype=np.int64)
+        running = np.empty((chunk, per_row), dtype=prep.ks_dtype)
+
+        def look1(c):
+            w = _counts(c)  # the weights both samples share
+            return w, w
+
+        def fold(lo, hi, w):
+            pass  # no prefix matrix: ``finish`` reads the weights alone
+
+        def finish(lo, hi, w):
+            return prep.ks_shared(w, gathered[: hi - lo], running[: hi - lo])
+
     else:
         head = np.empty((batch, n1 + 1), dtype=prep.ks_dtype)
 
         def look1(c1):
-            # Matched pairs share their weights: one count feeds both stages.
-            w1 = _counts(c1)
-            return w1, w1
+            return _counts(c1), None
 
-        look2, fold, finish = _counts, prep.ks_head, prep.ks_tail
+        def fold(lo, hi, w1):
+            prep.ks_head(w1, head[lo:hi])
+
+        def finish(lo, hi, w2):
+            return prep.ks_tail(head[lo:hi], w2)
+
+        look2 = _counts
     for done in range(0, config.num_reps, batch):
         rows = min(batch, config.num_reps - done)
         spans = [(lo, min(lo + chunk, rows)) for lo in range(0, rows, chunk)]
         for lo, hi in spans:
             x1, x2 = look1(rng.integers(0, n1, size=(hi - lo, n1)))
-            fold(x1, head[lo:hi])
+            fold(lo, hi, x1)
             if matched:
-                out[done + lo : done + hi] = finish(head[lo:hi], x2)
-        # Drop the last lookups before drawing again.
-        del x1, x2
+                out[done + lo : done + hi] = finish(lo, hi, x2)
         if not matched:
+            # Drop the last x1 lookup before drawing x2.
+            del x1
             for lo, hi in spans:
                 x2 = look2(rng.integers(0, n2, size=(hi - lo, n2)))
-                out[done + lo : done + hi] = finish(head[lo:hi], x2)
+                out[done + lo : done + hi] = finish(lo, hi, x2)
     return out
 
 

@@ -74,6 +74,21 @@ def ks_excess_brute(x1, x2):
     )
 
 
+def ks_recentered_brute(x1, x2, w1, w2):
+    """Largest recentered bootstrap KS numerator over the pooled points,
+    clipped at 0: ``n2*(#w1(x1 <= x) - #(x1 <= x)) - n1*(#w2(x2 <= x) - #(x2 <= x))``
+    with ``#w`` counting resampled copies under the weights ``w``."""
+    n1, n2 = len(x1), len(x2)
+    best = 0
+    for x in list(x1) + list(x2):
+        cum1 = sum(int(w) for a, w in zip(x1, w1) if a <= x)
+        cum2 = sum(int(w) for b, w in zip(x2, w2) if b <= x)
+        cnt1 = sum(1 for a in x1 if a <= x)
+        cnt2 = sum(1 for b in x2 if b <= x)
+        best = max(best, n2 * (cum1 - cnt1) - n1 * (cum2 - cnt2))
+    return best
+
+
 # ---------------------------------------------------------------------------
 # bootstrap statistics from the definitions
 

@@ -23,7 +23,7 @@ from domtest import (
     run_test,
     variance_profile,
 )
-from domtest.bootstrap import _Prepared, _bootstrap_draws, _multinomial_rows
+from domtest.bootstrap import _Prepared, _bootstrap_draws, _counts, _multinomial_rows
 from domtest.cli import emit_report
 
 from oracles import (
@@ -559,3 +559,55 @@ class TestBatchEngine:
                 f2 = np.mean(data.x2 <= x)
                 best = max(best, (f1s - f2s) - (f1 - f2))
             assert_allclose(draws[r], sqrt_tn * best, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("num_reps", np.int64(7)), ("seed", np.uint64(5)), ("seed", np.int32(5))]
+)
+def test_numpy_integer_config_reports_serialize(field, value):
+    # The config stores Python ints, so the report's JSON is the one a
+    # Python-int config gives.
+    data = TwoSampleData(x1=[1.0, 2.0, 2.0], x2=[0.5, 3.0])
+    config = BootstrapConfig(**{field: value})
+    assert type(getattr(config, field)) is int
+    plain = BootstrapConfig(**{field: int(value)})
+    assert emit_report(run_test(data, config)) == emit_report(run_test(data, plain))
+
+
+@st.composite
+def _tau_inf_case(draw):
+    # Heavy ties (a span of 1 leaves three values), n = 1, unequal n and
+    # both pairings.
+    matched = draw(st.booleans())
+    n1 = draw(st.integers(1, 20))
+    n2 = n1 if matched else draw(st.integers(1, 20))
+    span = draw(st.sampled_from([1, 3, 40]))
+    values = st.integers(-span, span).map(float)
+    x1 = draw(st.lists(values, min_size=n1, max_size=n1))
+    x2 = draw(st.lists(values, min_size=n2, max_size=n2))
+    pairing = Pairing.MATCHED if matched else Pairing.INDEPENDENT
+    return TwoSampleData(x1=x1, x2=x2, pairing=pairing)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_tau_inf_case(), num_reps=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_infinite_tau_reproduces_standard_draws(data, num_reps, seed):
+    # With tau = inf the screen keeps every cell, so each modified draw is the
+    # standard draw on the same weights, bit for bit.
+    matched = data.pairing is Pairing.MATCHED
+    replay = np.random.default_rng(seed)
+    # One batch at these sizes: all x1 rows, then (independent) all x2 rows.
+    c1 = replay.integers(0, data.n1, size=(num_reps, data.n1))
+    c2 = c1 if matched else replay.integers(0, data.n2, size=(num_reps, data.n2))
+    w1, w2 = _counts(c1), _counts(c2)
+    base = empirical_odc(data)
+    v = variance_profile(data)
+    standard = []
+    for r in range(num_reps):
+        star = bootstrap_odc(data, BootstrapWeights(w1=w1[r], w2=w2[r]))
+        draw = bootstrap_statistic_standard(star, base)
+        assert bootstrap_statistic_modified(star, base, v, math.inf) == draw
+        standard.append(draw)
+    config = BootstrapConfig(tau=math.inf, num_reps=num_reps, seed=seed)
+    got = _bootstrap_draws(_Prepared(data), config, np.random.default_rng(seed))
+    assert_array_equal(got, standard)
