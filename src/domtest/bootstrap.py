@@ -287,10 +287,11 @@ def critical_value(draws, alpha: float) -> float:
 class _Prepared:
     """Per-dataset quantities reused across all bootstrap replications.
 
-    Each statistic is reduced in two stages: a head from a row's x1 draws,
-    then the row's draw from its head and its x2 draws. Matched KS instead
-    reduces each row of shared weights in one pass (``ks_shared``). The
-    fields that only one statistic reads are built on first use, so WMW
+    WMW is reduced in two stages: a head from a row's x1 draws, then the
+    row's draw from its head and its x2 draws. KS reduces each row in one
+    pass over the merged pooled order (``ks_shared``), from the weights that
+    matched pairs share or from a row's x1 weights joined to its x2 weights.
+    The fields that only one statistic reads are built on first use, so WMW
     draws never build the KS state and KS draws never build the WMW state.
     """
 
@@ -322,16 +323,15 @@ class _Prepared:
         return rank2
 
     @functools.cached_property
-    def ks_base(self) -> np.ndarray:
-        return (self.cnt1 * self.n2 - self.cnt2 * self.n1).astype(self.ks_dtype)
-
-    @functools.cached_property
     def ks_merged(self):
         """``(src, coef, base, ends)`` for KS over the merged order of both
         sorted samples, tied x2 values before tied x1 values: merged point q
-        is observation ``src[q]`` of x1 (``coef[q] = n2``) or of x2
-        (``coef[q] = -n1``), ``base = cumsum(coef)``, and ``ends`` lists the
-        positions that close a group of tied values, None when all do."""
+        reads weight ``src[q]``, of an x1 (``coef[q] = n2``) or an x2
+        (``coef[q] = -n1``) observation, ``base = cumsum(coef)``, and
+        ``ends`` lists the positions that close a group of tied values, None
+        when all do. x2 observation j reads weight j of the weights that
+        matched pairs share, or weight n1 + j of a row's joined x1 | x2
+        weights."""
         n1, n2 = self.n1, self.n2
         # Sorted x2 number j follows the x1 values strictly below it, those
         # with cnt2 <= j; sorted x1 number i follows the cnt2[i] x2 values at
@@ -340,7 +340,8 @@ class _Prepared:
         pos1 = np.arange(n1) + self.cnt2[:n1]
         pos2 = np.arange(n2) + below
         src = np.empty(n1 + n2, dtype=np.intp)
-        src[pos1], src[pos2] = self.perm1, self.perm2
+        src[pos1] = self.perm1
+        src[pos2] = self.perm2 if self.data.pairing is Pairing.MATCHED else self.perm2 + n1
         coef = np.empty(n1 + n2, dtype=np.int64)
         coef[pos1], coef[pos2] = n2, -n1
         base = np.cumsum(coef).astype(self.ks_dtype)
@@ -352,15 +353,6 @@ class _Prepared:
     def keep_columns(self, tau: float) -> np.ndarray | None:
         """Grid columns retained by the contact-set screen, None for all."""
         return _kept_columns(self.m, self.n1, variance_profile(self.data).v, tau)
-
-    @staticmethod
-    def _cumsum0(w: np.ndarray, perm: np.ndarray, dtype, out=None) -> np.ndarray:
-        """Row-wise running weight totals in sorted order, with a leading 0."""
-        if out is None:
-            out = np.empty((w.shape[0], w.shape[1] + 1), dtype=dtype)
-        out[:, 0] = 0
-        np.cumsum(np.take(w, perm, axis=1), axis=1, dtype=dtype, out=out[:, 1:])
-        return out
 
     def wmw_head(self, hits: np.ndarray, out=None) -> np.ndarray:
         """h[r, k] counts the resampled x1 of row r at or below sorted x2
@@ -399,25 +391,14 @@ class _Prepared:
         return self.wmw_tail(head, self.rank2[_categories(w2)], keep)
 
     def ks_draws(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        return self.ks_tail(self.ks_head(w1), w2)
-
-    def ks_head(self, w1: np.ndarray, out=None) -> np.ndarray:
-        """Running x1 weight totals in sorted order, with a leading 0."""
-        return self._cumsum0(w1, self.perm1, self.ks_dtype, out)
-
-    def ks_tail(self, head: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        """KS draws from ``ks_head`` rows and the x2 weights ``w2``."""
-        cum2 = self._cumsum0(w2, self.perm2, self.ks_dtype)
-        diff = np.take(head, self.cnt1, axis=1)
-        diff *= self.n2
-        part = np.take(cum2, self.cnt2, axis=1)
-        part *= self.n1
-        diff -= part
-        diff -= self.ks_base
-        return self._ks_scaled(diff)
+        """KS draws from row-wise weights ``w1`` and ``w2``; matched pairs
+        read ``w1`` alone."""
+        matched = self.data.pairing is Pairing.MATCHED
+        return self.ks_shared(w1 if matched else np.concatenate((w1, w2), axis=1))
 
     def ks_shared(self, w: np.ndarray, gathered=None, running=None) -> np.ndarray:
-        """KS draws for matched pairs from their shared weights ``w``. The
+        """KS draws from weights over both samples: the shared weights of
+        matched pairs, or each row's x1 weights joined to its x2 weights. The
         recentered numerator ``n2*(cum1 - cnt1) - n1*(cum2 - cnt2)`` at each
         pooled point is one running sum of ``coef*(w[src] - 1)`` over the
         merged order, read where the point's group of tied values ends."""
@@ -428,9 +409,6 @@ class _Prepared:
         diff -= base
         if ends is not None:
             diff = np.take(diff, ends, axis=1)
-        return self._ks_scaled(diff)
-
-    def _ks_scaled(self, diff: np.ndarray) -> np.ndarray:
         best = np.maximum(diff.max(axis=1), 0)
         return best * (_sqrt_tn(self.n1, self.n2) / (self.n1 * self.n2))
 
@@ -442,14 +420,15 @@ def _bootstrap_draws(
 
     Category draws come a batch at a time (see ``_BATCH_ELEMENTS``), all x1
     rows before all x2 rows, and no batch of draws is ever held: each x1
-    sub-chunk is drawn and folded at once into a prefix matrix of head rows
-    for the batch. Matched pairs finish those rows from the same draws;
-    independent samples then draw each x2 sub-chunk and finish its rows from
-    the prefix matrix. Matched KS needs no prefix matrix: it finishes each
-    sub-chunk in one pass over the merged pooled order. ``integers`` takes
-    every value from the bit generator's stream, whose half-word buffer lives
-    in the generator state, so k calls of r rows equal one call of k*r rows
-    and no draw depends on the sub-chunk size.
+    sub-chunk is drawn and folded at once into a batch matrix, of WMW head
+    rows or of independent KS's x1 counts. Matched pairs finish those rows
+    from the same draws; independent samples then draw each x2 sub-chunk and
+    finish its rows from the batch matrix. Matched KS keeps no batch matrix:
+    it finishes each sub-chunk in one pass over the merged pooled order, as
+    independent KS does from each row's joined x1 | x2 counts. ``integers``
+    takes every value from the bit generator's stream, whose half-word buffer
+    lives in the generator state, so k calls of r rows equal one call of k*r
+    rows and no draw depends on the sub-chunk size.
     """
     data = prep.data
     n1, n2 = data.n1, data.n2
@@ -463,7 +442,7 @@ def _bootstrap_draws(
     # part for x2 draws. The draws die when they return. A lookup stays bound
     # until the next one is made (independent samples drop the last x1 lookup
     # before drawing x2): freed sooner, it lets the heap trim pages that the
-    # next sub-chunk faults in again. WMW and matched KS reuse their per-chunk
+    # next sub-chunk faults in again. Both statistics reuse their per-chunk
     # buffers for the whole call.
     if config.statistic_kind is StatKind.WMW:
         keep = prep.keep_columns(config.tau)
@@ -485,31 +464,26 @@ def _bootstrap_draws(
         def finish(lo, hi, ranks_rows):
             return prep.wmw_tail(head[lo:hi], ranks_rows, keep, gathered[: hi - lo])
 
-    elif matched:
-        gathered = np.empty((chunk, per_row), dtype=np.int64)
-        running = np.empty((chunk, per_row), dtype=prep.ks_dtype)
-
-        def look1(c):
-            w = _counts(c)  # the weights both samples share
-            return w, w
-
-        def fold(lo, hi, w):
-            pass  # no prefix matrix: ``finish`` reads the weights alone
-
-        def finish(lo, hi, w):
-            return prep.ks_shared(w, gathered[: hi - lo], running[: hi - lo])
-
     else:
-        head = np.empty((batch, n1 + 1), dtype=prep.ks_dtype)
+        # ``take`` writes ``out`` only in its source's dtype: the int64 counts
+        # that matched pairs share, or the joined counts in ``running``.
+        gathered = np.empty((chunk, per_row), dtype=np.int64 if matched else prep.ks_dtype)
+        running = np.empty((chunk, per_row), dtype=prep.ks_dtype)
+        if not matched:
+            head = np.empty((batch, n1), dtype=np.int32)  # the batch's x1 counts
 
         def look1(c1):
-            return _counts(c1), None
+            w = _counts(c1)
+            return w, w if matched else None
 
         def fold(lo, hi, w1):
-            prep.ks_head(w1, head[lo:hi])
+            if not matched:
+                head[lo:hi] = w1
 
-        def finish(lo, hi, w2):
-            return prep.ks_tail(head[lo:hi], w2)
+        def finish(lo, hi, w):
+            if not matched:
+                w = np.concatenate((head[lo:hi], w), axis=1, out=running[: hi - lo])
+            return prep.ks_shared(w, gathered[: hi - lo], running[: hi - lo])
 
         look2 = _counts
     for done in range(0, config.num_reps, batch):

@@ -59,6 +59,12 @@ class OdcFamily:
             raise ValueError("gamma must be finite")
         if self.kind is not FamilyKind.NORMAL_SHIFT_ALT and self.gamma < 0.0:
             raise ValueError(f"{self.kind.value} requires gamma >= 0, got {self.gamma}")
+        if self.kind in (FamilyKind.NORMAL_SHIFT_ALT, FamilyKind.PARTIAL_CONTACT_NULL):
+            try:
+                math.exp(self.gamma)  # the curve's normal-quantile scale
+            except OverflowError:
+                msg = f"{self.kind.value} needs exp(gamma) finite, got {self.gamma}"
+                raise ValueError(msg) from None
 
 
 class CopulaKind(Enum):

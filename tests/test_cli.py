@@ -202,6 +202,12 @@ class TestMain:
         assert main(argv + extra) == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["normal-alt", "partial-null"])
+    def test_simulate_gamma_past_exp_range_exits_2(self, capsys, family):
+        argv = ["simulate", "--family", family, "--gamma", "800", "--n", "5", "--reps", "2"]
+        assert main(argv + ["--boot", "5"]) == 2
+        assert "usage error" in capsys.readouterr().err
+
     def test_null_quantiles_negative_seed_exits_2(self, capsys):
         argv = ["null-quantiles", "--paths", "10", "--grid", "10", "--seed", "-1"]
         assert main(argv) == 2

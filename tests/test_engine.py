@@ -168,9 +168,10 @@ def test_integers_over_row_blocks_equal_one_call(bit_generator, bound):
 @pytest.mark.parametrize("pairing", [Pairing.INDEPENDENT, Pairing.MATCHED])
 @pytest.mark.parametrize("kind", [StatKind.WMW, StatKind.KS])
 def test_run_test_holds_no_batch_of_draws(kind, pairing):
-    # Both pairings stream their category draws: a batch holds one prefix
-    # matrix of head rows (400 x 5001 int32, 8 MB) and cache-sized sub-chunk
-    # buffers, never a batch of draws (400 x 5000 int64, 16 MB per sample).
+    # Both pairings stream their category draws: a batch holds at most one
+    # batch matrix (WMW head rows, 400 x 5001 int32, or independent KS's x1
+    # counts, 400 x 5000 int32; 8 MB each) and cache-sized sub-chunk buffers,
+    # never a batch of draws (400 x 5000 int64, 16 MB per sample).
     rng = np.random.default_rng(5)
     data = TwoSampleData(x1=rng.random(5000), x2=rng.random(5000) ** 1.2, pairing=pairing)
     config = BootstrapConfig(num_reps=999, seed=1, statistic_kind=kind)
@@ -191,8 +192,8 @@ def test_prepared_builds_only_what_its_statistic_reads():
     ks = _Prepared(data)
     ks.ks_draws(_counts(c1), _counts(c2))
     assert {"g1", "rank2"} <= vars(wmw).keys()
-    assert "ks_base" not in vars(wmw)
-    assert "ks_base" in vars(ks)
+    assert "ks_merged" not in vars(wmw)
+    assert "ks_merged" in vars(ks)
     assert not {"g1", "rank2"} & vars(ks).keys()
 
 

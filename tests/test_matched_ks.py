@@ -1,9 +1,10 @@
-"""Matched-pair KS draws from one running sum over the merged pooled order.
+"""KS draws from one running sum over the merged pooled order.
 
-Matched pairs share one weight vector ``w``, so the recentered KS numerator
-at every pooled point is a single running sum over both sorted samples taken
-together. These tests check that pass draw for draw against the two-sample
-reduction ``_Prepared.ks_draws(w, w)`` and against the definition, on wide
+Matched pairs share one weight vector ``w``; independent samples join each
+row's x1 weights to its x2 weights. Either way the recentered KS numerator at
+every pooled point is a single running sum over both sorted samples taken
+together. These tests check the streamed engine draw for draw against the
+one-shot reduction ``_Prepared.ks_draws`` and against the definition, on wide
 grids where 32-bit sums would wrap, and bound its memory.
 """
 
@@ -27,40 +28,49 @@ _VALUES = st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.0])
 
 
 @st.composite
-def _matched_data(draw):
-    n = draw(st.integers(1, 25))
+def _ks_data(draw):
+    matched = draw(st.booleans())
+    n1 = draw(st.integers(1, 25))
     shape = draw(st.sampled_from(["tied", "untied", "all-tied", "x1 == x2"]))
+    n2 = n1 if matched or shape == "x1 == x2" else draw(st.integers(1, 25))
     if shape == "untied":
         values = st.floats(-10, 10, allow_nan=False, allow_infinity=False, width=32)
     elif shape == "all-tied":
         values = st.just(1.0)
     else:
         values = _VALUES
-    x1 = draw(st.lists(values, min_size=n, max_size=n))
-    x2 = x1 if shape == "x1 == x2" else draw(st.lists(values, min_size=n, max_size=n))
-    return TwoSampleData(x1=x1, x2=x2, pairing=Pairing.MATCHED)
+    x1 = draw(st.lists(values, min_size=n1, max_size=n1))
+    x2 = x1 if shape == "x1 == x2" else draw(st.lists(values, min_size=n2, max_size=n2))
+    pairing = Pairing.MATCHED if matched else Pairing.INDEPENDENT
+    return TwoSampleData(x1=x1, x2=x2, pairing=pairing)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    data=_matched_data(),
+    data=_ks_data(),
     num_reps=st.integers(1, 40),
     chunk_rows=st.sampled_from([1, 3, None]),
     batch_rows=st.sampled_from([7, None]),
     seed=st.integers(0, 2**32 - 1),
+    int64=st.booleans(),
 )
 @example(data=TwoSampleData(x1=[2.0], x2=[1.0], pairing=Pairing.MATCHED),
-         num_reps=5, chunk_rows=1, batch_rows=None, seed=0)
+         num_reps=5, chunk_rows=1, batch_rows=None, seed=0, int64=False)
 @example(data=TwoSampleData(x1=[1.0] * 6, x2=[1.0] * 6, pairing=Pairing.MATCHED),
-         num_reps=9, chunk_rows=3, batch_rows=7, seed=1)
+         num_reps=9, chunk_rows=3, batch_rows=7, seed=1, int64=False)
 @example(data=TwoSampleData(x1=[0.0, 2.0, 0.5, 2.0], x2=[0.0, 2.0, 0.5, 2.0],
                             pairing=Pairing.MATCHED),
-         num_reps=12, chunk_rows=None, batch_rows=None, seed=2)
+         num_reps=12, chunk_rows=None, batch_rows=None, seed=2, int64=True)
+@example(data=TwoSampleData(x1=[2.0], x2=[0.5, 2.0, 2.0, -1.0, 0.5]),
+         num_reps=17, chunk_rows=3, batch_rows=7, seed=3, int64=False)
+@example(data=TwoSampleData(x1=[0.5, 0.5, 3.0, 0.5, -1.0, 3.0, 0.5], x2=[0.5, 3.0, 0.5]),
+         num_reps=23, chunk_rows=3, batch_rows=7, seed=4, int64=True)
 def test_engine_equals_two_sample_reduction_and_definition(
-    data, num_reps, chunk_rows, batch_rows, seed
+    data, num_reps, chunk_rows, batch_rows, seed, int64
 ):
-    n = data.n1
-    per_row = 2 * n
+    n1, n2 = data.n1, data.n2
+    matched = data.pairing is Pairing.MATCHED
+    per_row = n1 + n2
     config = BootstrapConfig(num_reps=num_reps, seed=seed, statistic_kind=StatKind.KS)
     with pytest.MonkeyPatch.context() as mp:
         if batch_rows is not None:
@@ -68,12 +78,22 @@ def test_engine_equals_two_sample_reduction_and_definition(
         chunk_elements = 1 << 40 if chunk_rows is None else chunk_rows * per_row
         mp.setattr("domtest.bootstrap._CHUNK_ELEMENTS", chunk_elements)
         prep = _Prepared(data)
+        if int64:
+            prep.ks_dtype = np.int64  # the buffers of wide grids, on small data
         got = _bootstrap_draws(prep, config, np.random.default_rng(seed))
-    # Matched pairs draw only x1 rows, so the whole stream is one call.
-    w = _counts(np.random.default_rng(seed).integers(0, n, size=(num_reps, n)))
-    assert_array_equal(got, _Prepared(data).ks_draws(w, w))
-    best = [ks_recentered_brute(data.x1, data.x2, row, row) for row in w]
-    assert_array_equal(got, np.array(best) * (_sqrt_tn(n, n) / (n * n)))
+    # Each batch draws all its x1 rows, then all its x2 rows; matched pairs
+    # share the x1 rows.
+    replay = np.random.default_rng(seed)
+    batch = num_reps if batch_rows is None else batch_rows
+    w1, w2 = [], []
+    for done in range(0, num_reps, batch):
+        rows = min(batch, num_reps - done)
+        w1.append(_counts(replay.integers(0, n1, size=(rows, n1))))
+        w2.append(w1[-1] if matched else _counts(replay.integers(0, n2, size=(rows, n2))))
+    w1, w2 = np.concatenate(w1), np.concatenate(w2)
+    assert_array_equal(got, _Prepared(data).ks_draws(w1, w2))
+    best = [ks_recentered_brute(data.x1, data.x2, r1, r2) for r1, r2 in zip(w1, w2)]
+    assert_array_equal(got, np.array(best) * (_sqrt_tn(n1, n2) / (n1 * n2)))
 
 
 @pytest.mark.parametrize("n, dtype", [(32_767, np.int32), (40_000, np.int64)])
@@ -103,18 +123,29 @@ def test_wide_grid_matches_int64_formula(n, dtype):
     assert_array_equal(draws, best * (math.sqrt(n / 2) / (n * n)))
 
 
-def test_matched_ks_builds_no_prefix_state():
+def test_matched_ks_builds_no_prefix_state(monkeypatch):
+    # Both pairings build the one merged-order table. Independent samples
+    # keep a batch matrix of x1 counts (7 rows here, sub-chunks of 3);
+    # matched pairs allocate nothing with a batch's rows.
     rng = np.random.default_rng(3)
     x1, x2 = rng.integers(0, 5, 30).astype(float), rng.integers(0, 5, 30).astype(float)
     config = BootstrapConfig(num_reps=20, seed=1, statistic_kind=StatKind.KS)
-    matched = _Prepared(TwoSampleData(x1=x1, x2=x2, pairing=Pairing.MATCHED))
-    _bootstrap_draws(matched, config, np.random.default_rng(1))
-    assert "ks_merged" in vars(matched)
-    assert "ks_base" not in vars(matched)
-    independent = _Prepared(TwoSampleData(x1=x1, x2=x2))
-    _bootstrap_draws(independent, config, np.random.default_rng(1))
-    assert "ks_base" in vars(independent)
-    assert "ks_merged" not in vars(independent)
+    monkeypatch.setattr("domtest.bootstrap._BATCH_ELEMENTS", 7 * 60)
+    monkeypatch.setattr("domtest.bootstrap._CHUNK_ELEMENTS", 3 * 60)
+    empty = np.empty
+    shapes = []
+
+    def recorded(shape, *args, **kwargs):
+        shapes.append(np.atleast_1d(shape)[0])
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", recorded)
+    for pairing, batch_matrices in ((Pairing.MATCHED, 0), (Pairing.INDEPENDENT, 1)):
+        shapes.clear()
+        prep = _Prepared(TwoSampleData(x1=x1, x2=x2, pairing=pairing))
+        _bootstrap_draws(prep, config, np.random.default_rng(1))
+        assert "ks_merged" in vars(prep)
+        assert shapes.count(7) == batch_matrices
 
 
 def test_matched_ks_run_test_peak_memory():
