@@ -243,9 +243,7 @@ def empirical_copula_diag(ranks: RankProfile) -> np.ndarray:
     """Empirical copula on the diagonal: entry ``i-1`` counts pairs whose
     normalized ranks both sit at or below ``i/n``, divided by ``n``."""
     n = ranks.n
-    iu = np.rint(ranks.u_ranks * n).astype(np.int64)
-    iv = np.rint(ranks.v_ranks * n).astype(np.int64)
-    worst = np.maximum(iu, iv)
+    worst = np.rint(np.maximum(ranks.u_ranks, ranks.v_ranks) * n).astype(np.int64)
     hist = np.bincount(worst, minlength=n + 1)
     return np.cumsum(hist)[1:] / n
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -50,6 +50,18 @@ def _check_int(name: str, value, least: int) -> None:
     of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _grid_counts(name: str, values: np.ndarray, n: int, least: int) -> np.ndarray:
+    """Numerators ``k`` of ``values = k/n``, as floats, clipped to ``[least, n]``
+    so that one comparison rejects off-grid and out-of-range values alike. A
+    value passes within ``max(1e-8, n * 2**-50)`` of ``k`` once scaled by ``n``,
+    as every float ``k/n`` does: it scales to within ``n * 2**-52`` of ``k``."""
+    scaled = values * n
+    counts = np.rint(scaled).clip(least, n)
+    if np.abs(scaled - counts).max() > max(1e-8, n * 2.0**-50):
+        raise ValueError(f"{name} must be multiples k/{n} with {least} <= k <= {n}")
+    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,44 +120,36 @@ class TwoSampleData:
 
 @dataclass(frozen=True, eq=False)
 class OdcCurve:
-    """Empirical ODC stored as its values on the grid ``i/n2``, i = 1..n2.
+    """Empirical ODC on the grid ``i/n2``, i = 1..n2, held as integer counts.
 
-    ``values[i-1]`` is the fraction of first-sample observations at or below
-    the i-th order statistic of the second sample, hence an exact multiple
-    of ``1/n1`` up to one float rounding.
+    ``counts[i-1]`` is the number of first-sample observations at or below
+    the i-th order statistic of the second sample, and ``values = counts/n1``;
+    both are read-only. The ``values`` passed in must be multiples of ``1/n1``
+    within the tolerance of ``_grid_counts``, which every float ``k/n1`` meets.
     """
 
     values: np.ndarray
     n1: int
     n2: int
+    counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError("sample sizes must be positive")
-        if vals.size != self.n2:
-            raise ValueError(f"expected {self.n2} grid values, got {vals.size}")
-        if vals.size and (vals[0] < 0.0 or vals[-1] > 1.0 or np.any(np.diff(vals) < 0)):
-            raise ValueError("ODC values must be nondecreasing within [0, 1]")
-        scaled = vals * self.n1
-        if not np.allclose(scaled, np.rint(scaled), atol=1e-8, rtol=0.0):
-            raise ValueError("ODC values must be multiples of 1/n1")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        _check_int("n1", self.n1, 1)
+        _check_int("n2", self.n2, 1)
+        values = _as_sample(self.values, "ODC values")
+        counts = _grid_counts("ODC values", values, self.n1, 0).astype(np.int64)
+        if counts.size != self.n2:
+            raise ValueError(f"expected {self.n2} grid values, got {counts.size}")
+        if (np.diff(counts) < 0).any():
+            raise ValueError("ODC values must be nondecreasing")
+        for name, arr in (("counts", counts), ("values", counts / self.n1)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def grid(self) -> np.ndarray:
         """The evaluation grid ``i/n2``, i = 1..n2."""
         return np.arange(1, self.n2 + 1, dtype=np.float64) / self.n2
-
-    @functools.cached_property
-    def counts(self) -> np.ndarray:
-        """Integer numerators ``k`` with ``values = k/n1``, recovered exactly
-        once and read-only. ``values`` is read-only, so the cache cannot go
-        stale."""
-        counts = np.rint(self.values * self.n1).astype(np.int64)
-        counts.setflags(write=False)
-        return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,8 +157,9 @@ class RankProfile:
     """Normalized within-sample ranks of matched pairs.
 
     ``u_ranks[j]`` is the first-sample ECDF evaluated at the j-th first-sample
-    observation, and likewise for ``v_ranks``; with no ties each vector is a
-    permutation of ``{1/n, ..., 1}``.
+    observation, and likewise for ``v_ranks``; every entry is ``k/n`` with
+    ``1 <= k <= n``, and with no ties each vector is a permutation of
+    ``{1/n, ..., 1}``.
     """
 
     u_ranks: np.ndarray
@@ -165,6 +170,8 @@ class RankProfile:
         v = _as_sample(self.v_ranks, "v_ranks")
         if u.size != v.size:
             raise ValueError("rank vectors must have equal length")
+        _grid_counts("u_ranks", u, u.size, 1)
+        _grid_counts("v_ranks", v, v.size, 1)
         object.__setattr__(self, "u_ranks", u)
         object.__setattr__(self, "v_ranks", v)
 

@@ -59,6 +59,9 @@ class OdcFamily:
             raise ValueError("gamma must be finite")
         if self.kind is not FamilyKind.NORMAL_SHIFT_ALT and self.gamma < 0.0:
             raise ValueError(f"{self.kind.value} requires gamma >= 0, got {self.gamma}")
+        if self.kind is FamilyKind.POWER_ALT and self.gamma > 1.0:
+            # u**(1 - gamma) exceeds 1 on (0, 1), so it is no dominance curve
+            raise ValueError(f"power-alt requires gamma <= 1, got {self.gamma}")
         if self.kind in (FamilyKind.NORMAL_SHIFT_ALT, FamilyKind.PARTIAL_CONTACT_NULL):
             try:
                 math.exp(self.gamma)  # the curve's normal-quantile scale

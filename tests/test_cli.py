@@ -208,6 +208,12 @@ class TestMain:
         assert main(argv + ["--boot", "5"]) == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gamma", ["3", "2000"])
+    def test_simulate_power_alt_gamma_above_one_exits_2(self, capsys, gamma):
+        argv = ["simulate", "--family", "power-alt", "--gamma", gamma, "--n", "5", "--reps", "2"]
+        assert main(argv + ["--boot", "5"]) == 2
+        assert "usage error" in capsys.readouterr().err
+
     def test_null_quantiles_negative_seed_exits_2(self, capsys):
         argv = ["null-quantiles", "--paths", "10", "--grid", "10", "--seed", "-1"]
         assert main(argv) == 2

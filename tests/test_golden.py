@@ -1,9 +1,10 @@
-"""Golden reports: sha256 digests of seeded ``run_test`` JSON and one
-``simulate`` CSV row.
+"""Golden reports: sha256 digests of seeded ``run_test`` JSON, one
+``simulate`` CSV row and the ``odc`` command's CSV.
 
-Every digest was recorded before the draw-indexed WMW engine replaced the
-count-matrix one, so a change to any engine must keep every seeded report
-byte-identical. A failure here means some seeded output moved.
+Every ``run_test`` digest was recorded before the draw-indexed WMW engine
+replaced the count-matrix one, and every ``odc`` digest before ``OdcCurve``
+stored its integer counts, so a change to any engine must keep every seeded
+report byte-identical. A failure here means some seeded output moved.
 """
 
 import hashlib
@@ -70,9 +71,26 @@ SIMULATE_ARGS = [
 ]
 SIMULATE_DIGEST = "6df8fffce41866a20060924a30a81335f187b0d267575ba15ccb4a0a96c8da66"
 
+# name: (pairing, ties, n1, n2), drawn like CASES
+ODC_CASES = {
+    "odc-indep-ties": (Pairing.INDEPENDENT, True, 37, 83),
+    "odc-matched-ties": (Pairing.MATCHED, True, 45, 45),
+    "odc-n1-is-1": (Pairing.INDEPENDENT, False, 1, 40),
+}
+
+ODC_DIGESTS = {
+    "odc-indep-ties": "f76dac0106a4f14e057f57fb0d42bc397b39fde3aa1c9150ce174e05acbbc191",
+    "odc-matched-ties": "dde640e0ed51b06574a532107e1aa6cea3685d47eae90ffa30baac88a005f07c",
+    "odc-n1-is-1": "293ac211bdd0d053a1c3033bf76bfef8fdddfa488ee16a17177cb01843e13e72",
+}
+
 
 def _case_data(name):
     _, pairing, _, ties, n1, n2, _ = CASES[name]
+    return _draw(name, pairing, ties, n1, n2)
+
+
+def _draw(name, pairing, ties, n1, n2):
     rng = np.random.default_rng(list(hashlib.sha256(name.encode()).digest()[:8]))
     if ties:
         x1 = rng.integers(0, 7, n1).astype(float)
@@ -100,3 +118,18 @@ def test_run_test_report_bytes(name, monkeypatch):
 def test_simulate_row_bytes(capsys):
     assert main(SIMULATE_ARGS) == 0
     assert _sha256(capsys.readouterr().out) == SIMULATE_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(ODC_CASES))
+def test_odc_command_bytes(name, tmp_path, capsys):
+    pairing, ties, n1, n2 = ODC_CASES[name]
+    data = _draw(name, pairing, ties, n1, n2)
+    if pairing is Pairing.MATCHED:
+        rows = [f"{float(a)!r},{float(b)!r}" for a, b in zip(data.x1, data.x2)]
+    else:
+        rows = [f"1,{float(a)!r}" for a in data.x1] + [f"2,{float(b)!r}" for b in data.x2]
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(rows) + "\n")
+    argv = ["odc", "--input", str(path)] + (["--paired"] if pairing is Pairing.MATCHED else [])
+    assert main(argv) == 0
+    assert _sha256(capsys.readouterr().out) == ODC_DIGESTS[name]

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from domtest import (
     OdcCurve,
     Pairing,
+    RankProfile,
     TwoSampleData,
     ecdf_eval,
     empirical_odc,
@@ -47,6 +48,29 @@ class TestValidation:
     def test_odc_curve_rejects_off_grid(self):
         with pytest.raises(ValueError):
             OdcCurve(values=[0.3, 0.9], n1=2, n2=2)
+
+    def test_odc_curve_accepts_exact_floats_at_large_n1(self):
+        # k/n1 scales back to k only within n1 * 2**-52, far above 1e-8 here
+        n1 = 1_000_000_009
+        k = np.sort(np.random.default_rng(12).integers(0, n1 + 1, 200))
+        curve = OdcCurve(values=k / n1, n1=n1, n2=200)
+        assert_array_equal(curve.counts, k)
+        assert curve.values.tobytes() == (k / n1).tobytes()
+
+    @pytest.mark.parametrize(
+        "values,n1,n2",
+        [
+            ([0.5, np.nan], 2, 2),
+            ([0.5, np.inf], 2, 2),
+            ([-np.inf, 1.0], 2, 2),
+            ([0.4, 0.8], 2.5, 2),
+            ([1.0], True, 1),
+            ([0.5, 1.0], 2, 0),
+        ],
+    )
+    def test_odc_curve_rejects_bad_input(self, values, n1, n2):
+        with pytest.raises(ValueError):
+            OdcCurve(values=values, n1=n1, n2=n2)
 
 
 class TestEcdf:
@@ -189,6 +213,13 @@ class TestRankProfile:
         data = TwoSampleData(x1=[1.0, 2.0], x2=[3.0, 4.0])
         with pytest.raises(ValueError):
             rank_profile(data)
+
+    @pytest.mark.parametrize(
+        "u,v", [([0.5, 1.0], [1.0, 3.0]), ([0.0, 1.0], [0.5, 1.0]), ([0.4, 1.0], [0.5, 1.0])]
+    )
+    def test_entries_must_be_ranks(self, u, v):
+        with pytest.raises(ValueError):
+            RankProfile(u_ranks=u, v_ranks=v)
 
     def test_permutation_without_ties(self):
         rng = np.random.default_rng(17)

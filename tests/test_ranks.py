@@ -20,6 +20,7 @@ from domtest import (
     rank_profile,
     run_test,
     variance_profile,
+    wmw_statistic,
 )
 from domtest.bootstrap import _Prepared
 
@@ -45,7 +46,13 @@ def _tied_data(draw):
 def test_rank_readers_match_brute_force(data):
     x1, x2 = list(data.x1), list(data.x2)
     n1, n2 = data.n1, data.n2
-    assert_array_equal(empirical_odc(data).values, odc_brute(x1, x2))
+    curve = empirical_odc(data)
+    counts = [sum(a <= b for a in x1) for b in sorted(x2)]
+    assert_array_equal(curve.values, odc_brute(x1, x2))
+    assert curve.counts.tolist() == counts
+    assert curve.values.tobytes() == (np.array(counts) / n1).tobytes()
+    excess = sum(max(k * n2 - i * n1, 0) for i, k in enumerate(counts, 1))
+    assert wmw_statistic(curve).value == math.sqrt(n1 * n2 / (n1 + n2)) * (excess / (n1 * n2 * n2))
     best = ks_excess_brute(x1, x2)
     expected_ks = math.sqrt(n1 * n2 / (n1 + n2)) * (max(best, 0) / (n1 * n2))
     assert ks_statistic(data).value == expected_ks

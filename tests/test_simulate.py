@@ -89,6 +89,12 @@ class TestFamilyEval:
                 OdcFamily(kind=kind, gamma=-0.1)
         OdcFamily(kind=FamilyKind.NORMAL_SHIFT_ALT, gamma=-0.1)
 
+    def test_power_alt_gamma_above_one_rejected(self):
+        with pytest.raises(ValueError, match="gamma <= 1"):
+            OdcFamily(kind=FamilyKind.POWER_ALT, gamma=1.5)
+        family = OdcFamily(kind=FamilyKind.POWER_ALT, gamma=1.0)
+        assert odc_family_eval(family, 0.3) == 1.0
+
 
 class TestGaussianCopula:
     def test_rho_validation(self):
