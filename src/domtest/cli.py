@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
 from datetime import datetime, timezone
+from enum import Enum
 
 import numpy as np
 
@@ -25,22 +25,42 @@ from .stats import StatKind
 
 __all__ = ["parse_csv", "emit_report", "parse_report", "main"]
 
-_REPORT_KEYS = (
-    "statistic",
-    "critical_value",
-    "p_value",
-    "reject",
-    "alpha",
-    "tau",
-    "num_bootstrap",
-    "eta",
-    "seed",
-    "pairing",
-    "n1",
-    "n2",
-    "ties_detected",
-    "statistic_kind",
+# (JSON key, TestReport field, reader), in the report's key order. ``float``
+# reads the "inf" that ``_plain`` writes for an infinite value.
+_REPORT_FIELDS = (
+    ("statistic", "statistic", float),
+    ("critical_value", "critical_value", float),
+    ("p_value", "p_value", float),
+    ("reject", "reject", bool),
+    ("alpha", "alpha", float),
+    ("tau", "tau", float),
+    ("num_bootstrap", "num_reps", int),
+    ("eta", "eta", float),
+    ("seed", "seed", int),
+    ("pairing", "pairing", Pairing),
+    ("n1", "n1", int),
+    ("n2", "n2", int),
+    ("ties_detected", "ties_detected", bool),
+    ("statistic_kind", "statistic_kind", StatKind),
 )
+
+
+def _plain(value):
+    """The value every output writes: an enum as its value, an infinite float
+    as the string "inf", anything else as it is."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, float) and math.isinf(value):
+        return str(value)
+    return value
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def _float_cell(text: str, line_no: int, column: str) -> float:
@@ -50,29 +70,20 @@ def _float_cell(text: str, line_no: int, column: str) -> float:
         raise ValueError(f"line {line_no}: cannot parse {column} value {text!r}") from None
 
 
-def _looks_like_header(row: list[str]) -> bool:
-    for cell in row:
-        try:
-            float(cell)
-        except ValueError:
-            return True
-    return False
-
-
 def parse_csv(source, paired: bool = False) -> TwoSampleData:
     """Read a two-sample dataset from CSV.
 
     Unpaired layout: columns ``group,value`` with group 1 or 2. Paired
-    layout: columns ``x1,x2``, one pair per row. An optional header row is
-    skipped. Errors carry the 1-based line number.
+    layout: columns ``x1,x2``, one pair per row. The first row is a header,
+    and skipped, only when none of its cells reads as a number. Errors carry
+    the 1-based line number.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return parse_csv(fh, paired=paired)
     rows = list(csv.reader(source))
-    start = 0
-    if rows and _looks_like_header(rows[0]):
-        start = 1
+    start = 1 if rows and not any(map(_is_number, rows[0])) else 0
+    layout = "x1,x2" if paired else "group,value"
     x1: list[float] = []
     x2: list[float] = []
     for idx in range(start, len(rows)):
@@ -80,14 +91,12 @@ def parse_csv(source, paired: bool = False) -> TwoSampleData:
         if not any(row):
             continue
         line_no = idx + 1
+        if len(row) != 2 or not all(row):
+            raise ValueError(f"line {line_no}: expected two cells {layout}")
         if paired:
-            if len(row) != 2 or not row[0] or not row[1]:
-                raise ValueError(f"line {line_no}: expected two cells x1,x2")
             x1.append(_float_cell(row[0], line_no, "x1"))
             x2.append(_float_cell(row[1], line_no, "x2"))
         else:
-            if len(row) != 2 or not row[0] or not row[1]:
-                raise ValueError(f"line {line_no}: expected two cells group,value")
             group = row[0]
             if group not in ("1", "2"):
                 raise ValueError(f"line {line_no}: group must be 1 or 2, got {group!r}")
@@ -99,35 +108,16 @@ def parse_csv(source, paired: bool = False) -> TwoSampleData:
     return TwoSampleData(x1=np.array(x1), x2=np.array(x2), pairing=pairing)
 
 
-def _tau_out(tau: float):
-    return "inf" if math.isinf(tau) else tau
-
-
 def emit_report(report: TestReport, format: str = "json") -> str:
     """Serialize a test report as strict JSON or a human-readable table.
 
     JSON output carries no timestamp so identical runs emit identical bytes;
-    an infinite tau is written as the string "inf".
+    an infinite tau or eta is written as the string "inf".
     """
     if format == "json":
-        doc = {
-            "statistic": report.statistic,
-            "critical_value": report.critical_value,
-            "p_value": report.p_value,
-            "reject": report.reject,
-            "alpha": report.alpha,
-            "tau": _tau_out(report.tau),
-            "num_bootstrap": report.num_reps,
-            "eta": report.eta,
-            "seed": report.seed,
-            "pairing": report.pairing.value,
-            "n1": report.n1,
-            "n2": report.n2,
-            "ties_detected": report.ties_detected,
-            "statistic_kind": report.statistic_kind.value,
-            "version": __version__,
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        doc = {key: _plain(getattr(report, name)) for key, name, _ in _REPORT_FIELDS}
+        doc["version"] = __version__
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if format != "table":
         raise ValueError(f"unknown report format: {format!r}")
     decision = "REJECT H0" if report.reject else "FAIL TO REJECT H0"
@@ -138,7 +128,7 @@ def emit_report(report: TestReport, format: str = "json") -> str:
         f"  statistic      = {report.statistic:.6g}",
         f"  critical value = {report.critical_value:.6g}  (alpha = {report.alpha:g})",
         f"  p-value        = {report.p_value:.6g}",
-        f"  tau = {_tau_out(report.tau)}, bootstrap reps = {report.num_reps}, "
+        f"  tau = {_plain(report.tau)}, bootstrap reps = {report.num_reps}, "
         f"eta = {report.eta:g}, seed = {report.seed}",
         f"  decision: {decision}",
         f"  domtest {__version__} at {stamp}",
@@ -149,36 +139,10 @@ def emit_report(report: TestReport, format: str = "json") -> str:
 def parse_report(text: str) -> TestReport:
     """Rebuild a TestReport from its JSON serialization."""
     doc = json.loads(text)
-    missing = [key for key in _REPORT_KEYS if key not in doc]
+    missing = [key for key, _, _ in _REPORT_FIELDS if key not in doc]
     if missing:
         raise ValueError(f"report is missing keys: {missing}")
-    tau = doc["tau"]
-    return TestReport(
-        statistic=float(doc["statistic"]),
-        critical_value=float(doc["critical_value"]),
-        p_value=float(doc["p_value"]),
-        reject=bool(doc["reject"]),
-        ties_detected=bool(doc["ties_detected"]),
-        alpha=float(doc["alpha"]),
-        tau=math.inf if tau == "inf" else float(tau),
-        num_reps=int(doc["num_bootstrap"]),
-        eta=float(doc["eta"]),
-        seed=int(doc["seed"]),
-        pairing=Pairing(doc["pairing"]),
-        n1=int(doc["n1"]),
-        n2=int(doc["n2"]),
-        statistic_kind=StatKind(doc["statistic_kind"]),
-    )
-
-
-def _tau_flag(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid tau: {text!r}") from None
-    return value
+    return TestReport(**{name: read(doc[key]) for key, name, read in _REPORT_FIELDS})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -192,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--input", required=True, help="CSV file (group,value or x1,x2)")
     p_test.add_argument("--paired", action="store_true", help="treat rows as matched pairs")
     p_test.add_argument("--alpha", type=float, default=0.05)
-    p_test.add_argument("--tau", type=_tau_flag, default=0.75, help="screen width; 'inf' for none")
+    p_test.add_argument("--tau", type=float, default=0.75, help="screen width; 'inf' for none")
     p_test.add_argument("--boot", type=int, default=999, help="bootstrap replications")
     p_test.add_argument("--eta", type=float, default=0.0, help="critical value floor")
     p_test.add_argument("--seed", type=int, default=0)
@@ -213,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rho", type=float, default=0.0, help="Gaussian copula correlation")
     p_sim.add_argument("--reps", type=int, default=5000, help="Monte Carlo replications")
     p_sim.add_argument("--boot", type=int, default=500)
-    p_sim.add_argument("--tau", type=_tau_flag, default=0.75)
+    p_sim.add_argument("--tau", type=float, default=0.75)
     p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--stat", choices=["wmw", "ks"], default="wmw")
     p_sim.add_argument("--seed", type=int, default=0)
@@ -241,24 +205,24 @@ def _usage_checked(factory):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _cmd_test(args) -> int:
-    config = _usage_checked(
-        lambda: BootstrapConfig(
-            alpha=args.alpha,
-            tau=args.tau,
-            num_reps=args.boot,
-            eta=args.eta,
-            seed=args.seed,
-            statistic_kind=StatKind(args.stat),
-        )
+def _bootstrap_config(args, **extra) -> BootstrapConfig:
+    return BootstrapConfig(
+        alpha=args.alpha,
+        tau=args.tau,
+        num_reps=args.boot,
+        seed=args.seed,
+        statistic_kind=StatKind(args.stat),
+        **extra,
     )
-    data = parse_csv(args.input, paired=args.paired)
-    report = run_test(data, config)
-    sys.stdout.write(emit_report(report, format=args.format))
-    return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_test(args) -> str:
+    config = _usage_checked(lambda: _bootstrap_config(args, eta=args.eta))
+    report = run_test(parse_csv(args.input, paired=args.paired), config)
+    return emit_report(report, format=args.format)
+
+
+def _cmd_simulate(args) -> str:
     if args.n is not None:
         if args.n1 is not None or args.n2 is not None:
             raise argparse.ArgumentTypeError("give either --n or --n1/--n2, not both")
@@ -267,73 +231,45 @@ def _cmd_simulate(args) -> int:
         n1, n2 = args.n1, args.n2
     if n1 is None or n2 is None:
         raise argparse.ArgumentTypeError("give --n, or both --n1 and --n2")
-    pairing = Pairing.MATCHED if args.paired else Pairing.INDEPENDENT
-    copula = _usage_checked(
-        lambda: CopulaSpec(kind=CopulaKind.GAUSSIAN, rho=args.rho)
-        if args.paired
-        else CopulaSpec(kind=CopulaKind.PRODUCT)
-    )
     spec = _usage_checked(
         lambda: ScenarioSpec(
             family=OdcFamily(kind=FamilyKind(args.family), gamma=args.gamma),
             n1=n1,
             n2=n2,
-            copula=copula,
-            pairing=pairing,
+            copula=CopulaSpec(kind=CopulaKind.GAUSSIAN, rho=args.rho)
+            if args.paired
+            else CopulaSpec(kind=CopulaKind.PRODUCT),
+            pairing=Pairing.MATCHED if args.paired else Pairing.INDEPENDENT,
             mc_reps=args.reps,
-            bootstrap=BootstrapConfig(
-                alpha=args.alpha,
-                tau=args.tau,
-                num_reps=args.boot,
-                seed=args.seed,
-                statistic_kind=StatKind(args.stat),
-            ),
+            bootstrap=_bootstrap_config(args),
         )
     )
     result = rejection_rate(spec)
-    header = "family,gamma,n1,n2,pairing,rho,alpha,tau,boot,reps,seed,rate,std_error"
-    row = ",".join(
-        [
-            spec.family.kind.value,
-            repr(spec.family.gamma),
-            str(n1),
-            str(n2),
-            pairing.value,
-            repr(args.rho if args.paired else 0.0),
-            repr(args.alpha),
-            "inf" if math.isinf(args.tau) else repr(args.tau),
-            str(args.boot),
-            str(args.reps),
-            str(args.seed),
-            repr(result.rate),
-            repr(result.std_error),
-        ]
-    )
-    text = header + "\n" + row + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    row = {
+        "family": spec.family.kind,
+        "gamma": spec.family.gamma,
+        "n1": spec.n1,
+        "n2": spec.n2,
+        "pairing": spec.pairing,
+        "rho": spec.copula.rho,
+        "alpha": spec.bootstrap.alpha,
+        "tau": spec.bootstrap.tau,
+        "boot": spec.bootstrap.num_reps,
+        "reps": spec.mc_reps,
+        "seed": spec.bootstrap.seed,
+        "rate": result.rate,
+        "std_error": result.std_error,
+    }
+    return ",".join(row) + "\n" + ",".join(str(_plain(v)) for v in row.values()) + "\n"
 
 
-def _cmd_odc(args) -> int:
-    data = parse_csv(args.input, paired=args.paired)
-    curve = empirical_odc(data)
-    buf = io.StringIO()
-    buf.write("u,R_hat\n")
-    for u, value in zip(curve.grid, curve.values):
-        buf.write(f"{float(u)!r},{float(value)!r}\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
-    return 0
+def _cmd_odc(args) -> str:
+    curve = empirical_odc(parse_csv(args.input, paired=args.paired))
+    rows = (f"{float(u)!r},{float(value)!r}\n" for u, value in zip(curve.grid, curve.values))
+    return "u,R_hat\n" + "".join(rows)
 
 
-def _cmd_null_quantiles(args) -> int:
+def _cmd_null_quantiles(args) -> str:
     try:
         levels = [float(part) for part in args.levels.split(",") if part.strip()]
     except ValueError:
@@ -343,11 +279,8 @@ def _cmd_null_quantiles(args) -> int:
     config = _usage_checked(
         lambda: BridgePathConfig(num_paths=args.paths, grid_size=args.grid, seed=args.seed)
     )
-    samples = simulate_bridge_functional(config)
-    values = limit_quantiles(samples, levels)
-    for level, value in zip(levels, values):
-        sys.stdout.write(f"{level:g} {value:.6f}\n")
-    return 0
+    values = limit_quantiles(simulate_bridge_functional(config), levels)
+    return "".join(f"{level:g} {value:.6f}\n" for level, value in zip(levels, values))
 
 
 _COMMANDS = {
@@ -358,6 +291,15 @@ _COMMANDS = {
 }
 
 
+def _write(text: str, out) -> None:
+    """Write a command's output to the file ``out`` or, without one, to stdout."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -365,13 +307,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return _COMMANDS[args.command](args)
+        _write(_COMMANDS[args.command](args), getattr(args, "out", None))
     except argparse.ArgumentTypeError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -159,21 +159,25 @@ class RankProfile:
     ``u_ranks[j]`` is the first-sample ECDF evaluated at the j-th first-sample
     observation, and likewise for ``v_ranks``; every entry is ``k/n`` with
     ``1 <= k <= n``, and with no ties each vector is a permutation of
-    ``{1/n, ..., 1}``.
+    ``{1/n, ..., 1}``. ``u_counts`` and ``v_counts`` hold those integers
+    ``k`` as read-only int64 vectors.
     """
 
     u_ranks: np.ndarray
     v_ranks: np.ndarray
+    u_counts: np.ndarray = field(init=False, repr=False)
+    v_counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         u = _as_sample(self.u_ranks, "u_ranks")
         v = _as_sample(self.v_ranks, "v_ranks")
         if u.size != v.size:
             raise ValueError("rank vectors must have equal length")
-        _grid_counts("u_ranks", u, u.size, 1)
-        _grid_counts("v_ranks", v, v.size, 1)
-        object.__setattr__(self, "u_ranks", u)
-        object.__setattr__(self, "v_ranks", v)
+        for name, ranks in (("u", u), ("v", v)):
+            counts = _grid_counts(f"{name}_ranks", ranks, ranks.size, 1).astype(np.int64)
+            counts.setflags(write=False)
+            object.__setattr__(self, f"{name}_ranks", ranks)
+            object.__setattr__(self, f"{name}_counts", counts)
 
     @property
     def n(self) -> int:

@@ -227,8 +227,11 @@ def replication_streams(
     index, so any assignment of replications to workers reproduces the same
     streams.
     """
-    root = np.random.SeedSequence(entropy=[spec.bootstrap.seed, _scenario_key(spec), k])
-    data_seq, boot_seq = root.spawn(2)
+    return _streams(spec.bootstrap.seed, _scenario_key(spec), k)
+
+
+def _streams(seed: int, key: int, k: int) -> tuple[np.random.Generator, np.random.Generator]:
+    data_seq, boot_seq = np.random.SeedSequence(entropy=[seed, key, k]).spawn(2)
     return np.random.default_rng(data_seq), np.random.default_rng(boot_seq)
 
 
@@ -237,10 +240,12 @@ def rejection_rate(spec: ScenarioSpec) -> RateResult:
 
     Bit-reproducible for a fixed ``spec`` because every replication uses its
     own derived seed; the loop order carries no state between replications.
+    The scenario digest is computed once per call, not once per replication.
     """
+    key = _scenario_key(spec)
     rejections = 0
     for k in range(spec.mc_reps):
-        data_rng, boot_rng = replication_streams(spec, k)
+        data_rng, boot_rng = _streams(spec.bootstrap.seed, key, k)
         data = generate_dataset(spec, data_rng)
         report = run_test(data, spec.bootstrap, rng=boot_rng)
         rejections += int(report.reject)

@@ -58,6 +58,12 @@ class TestParseCsv:
         data = parse_csv(io.StringIO("x1,x2\n1,3\n\n2,4\n"), paired=True)
         assert data.n1 == 2
 
+    @pytest.mark.parametrize("first", ["1,oops", "1,"])
+    def test_bad_first_row_is_no_header(self, first):
+        # a header has no numeric cell, so a half-numeric first row is data
+        with pytest.raises(ValueError, match="line 1"):
+            parse_csv(io.StringIO(first + "\n1,0.5\n2,0.7\n"), paired=False)
+
     def test_reads_from_path(self, tmp_path):
         path = _write(tmp_path, "d.csv", "group,value\n1,1.0\n2,2.0\n")
         data = parse_csv(path, paired=False)
@@ -75,15 +81,20 @@ class TestReportSerialization:
         assert '"reject": false' in text
 
     def test_round_trip(self):
-        for kwargs in ({}, {"tau": math.inf}, {"statistic_kind": StatKind.KS}):
+        for kwargs in ({}, {"tau": math.inf}, {"eta": math.inf}, {"statistic_kind": StatKind.KS}):
             report = self._report(**kwargs)
             assert parse_report(emit_report(report, format="json")) == report
 
     def test_json_is_strict(self):
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
         report = self._report(tau=math.inf)
-        doc = json.loads(emit_report(report, format="json"))
+        doc = json.loads(emit_report(report, format="json"), parse_constant=reject)
         assert doc["tau"] == "inf"
         assert doc["num_bootstrap"] == 99
+        doc = json.loads(emit_report(self._report(eta=math.inf)), parse_constant=reject)
+        assert doc["eta"] == "inf"
 
     def test_table_contains_decision(self):
         text = emit_report(self._report(), format="table")
@@ -192,6 +203,22 @@ class TestMain:
     def test_malformed_data_exits_3(self, tmp_path, capsys):
         path = _write(tmp_path, "bad.csv", "x1,x2\n1,\n")
         assert main(["test", "--input", path, "--paired"]) == 3
+
+    def test_bad_first_row_exits_3(self, tmp_path, capsys):
+        path = _write(tmp_path, "bad.csv", "1,oops\n1,0.5\n2,0.7\n")
+        assert main(["test", "--input", path]) == 3
+        assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling", ["Inf", "INFINITY", "infinity", " inf "])
+    def test_tau_inf_spellings(self, tmp_path, capsys, spelling):
+        path = _write(tmp_path, "d.csv", "group,value\n1,1\n2,2\n")
+        assert main(["test", "--input", path, "--boot", "9", "--tau", spelling]) == 0
+        assert json.loads(capsys.readouterr().out)["tau"] == "inf"
+
+    def test_bad_tau_exits_2(self, tmp_path, capsys):
+        path = _write(tmp_path, "d.csv", "group,value\n1,1\n2,2\n")
+        assert main(["test", "--input", path, "--tau", "x"]) == 2
+        assert "invalid float value: 'x'" in capsys.readouterr().err
 
     def test_simulate_needs_sizes(self, capsys):
         assert main(["simulate", "--family", "power-null"]) == 2

@@ -1,14 +1,17 @@
-"""Golden reports: sha256 digests of seeded ``run_test`` JSON, one
-``simulate`` CSV row and the ``odc`` command's CSV.
+"""Golden reports: sha256 digests of seeded ``run_test`` JSON, two
+``simulate`` CSV rows, the ``odc`` command's CSV and ``test --format table``.
 
 Every ``run_test`` digest was recorded before the draw-indexed WMW engine
 replaced the count-matrix one, and every ``odc`` digest before ``OdcCurve``
-stored its integer counts, so a change to any engine must keep every seeded
-report byte-identical. A failure here means some seeded output moved.
+stored its integer counts. The paired ``simulate`` row, the table digests and
+the ``--out`` checks were recorded before the CLI declared each output once. A
+change to any engine or writer must keep every seeded report byte-identical.
+A failure here means some seeded output moved.
 """
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +74,20 @@ SIMULATE_ARGS = [
 ]
 SIMULATE_DIGEST = "6df8fffce41866a20060924a30a81335f187b0d267575ba15ccb4a0a96c8da66"
 
+# matched pairs, so the row carries a nonzero rho, and an infinite tau
+PAIRED_SIMULATE_ARGS = [
+    "simulate", "--family", "partial-null", "--gamma", "0.5", "--n", "20", "--paired",
+    "--rho", "0.3", "--tau", "inf", "--stat", "ks", "--reps", "20", "--boot", "49",
+    "--seed", "5",
+]
+PAIRED_SIMULATE_DIGEST = "4f105237e1b9b50a702e17e889cb6750d602dbe6064396975ebd706899acfe4d"
+
+# `test --format table` on the data and seed of these CASES, timestamp line removed
+TABLE_DIGESTS = {
+    "ks-matched-0.75-ties": "f7397a0ca5fa2e6cdb8c33e67d586fa6419237308c8ef4331e550c7f31f145a7",
+    "wmw-indep-inf": "99def401b87f00b8b37c6f9dcc691dcd1ec51db82a8b1c7ac4d0151ad3d2c217",
+}
+
 # name: (pairing, ties, n1, n2), drawn like CASES
 ODC_CASES = {
     "odc-indep-ties": (Pairing.INDEPENDENT, True, 37, 83),
@@ -120,16 +137,53 @@ def test_simulate_row_bytes(capsys):
     assert _sha256(capsys.readouterr().out) == SIMULATE_DIGEST
 
 
-@pytest.mark.parametrize("name", sorted(ODC_CASES))
-def test_odc_command_bytes(name, tmp_path, capsys):
-    pairing, ties, n1, n2 = ODC_CASES[name]
-    data = _draw(name, pairing, ties, n1, n2)
-    if pairing is Pairing.MATCHED:
+def test_paired_simulate_row_bytes(capsys):
+    assert main(PAIRED_SIMULATE_ARGS) == 0
+    assert _sha256(capsys.readouterr().out) == PAIRED_SIMULATE_DIGEST
+
+
+def _input_args(data, tmp_path):
+    """Write ``data`` as a headerless CSV that reads back exactly; return the
+    ``--input`` (and ``--paired``) arguments that name it."""
+    if data.pairing is Pairing.MATCHED:
         rows = [f"{float(a)!r},{float(b)!r}" for a, b in zip(data.x1, data.x2)]
     else:
         rows = [f"1,{float(a)!r}" for a in data.x1] + [f"2,{float(b)!r}" for b in data.x2]
     path = tmp_path / "data.csv"
     path.write_text("\n".join(rows) + "\n")
-    argv = ["odc", "--input", str(path)] + (["--paired"] if pairing is Pairing.MATCHED else [])
-    assert main(argv) == 0
+    return ["--input", str(path)] + (["--paired"] if data.pairing is Pairing.MATCHED else [])
+
+
+@pytest.mark.parametrize("name", sorted(ODC_CASES))
+def test_odc_command_bytes(name, tmp_path, capsys):
+    pairing, ties, n1, n2 = ODC_CASES[name]
+    data = _draw(name, pairing, ties, n1, n2)
+    assert main(["odc"] + _input_args(data, tmp_path)) == 0
     assert _sha256(capsys.readouterr().out) == ODC_DIGESTS[name]
+
+
+@pytest.mark.parametrize("command", ["simulate", "odc"])
+def test_out_file_equals_stdout(command, tmp_path, capsys):
+    if command == "simulate":
+        argv = PAIRED_SIMULATE_ARGS
+    else:
+        argv = ["odc"] + _input_args(_draw("odc-matched-ties", Pairing.MATCHED, True, 45, 45), tmp_path)
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
+def test_table_report_bytes(name, tmp_path, capsys):
+    kind, _, tau, _, _, _, _ = CASES[name]
+    argv = ["test"] + _input_args(_case_data(name), tmp_path) + [
+        "--tau", str(tau), "--boot", "199", "--seed", str(20 + len(name)),
+        "--stat", kind.value, "--format", "table",
+    ]
+    assert main(argv) == 0
+    *lines, stamp = capsys.readouterr().out.splitlines(keepends=True)
+    assert re.fullmatch(r"  domtest \S+ at \S+\n", stamp)
+    assert _sha256("".join(lines)) == TABLE_DIGESTS[name]

@@ -62,6 +62,10 @@ def test_rank_readers_match_brute_force(data):
         prof = rank_profile(data)
         assert_array_equal(prof.u_ranks, [ecdf_brute(x1, a) for a in x1])
         assert_array_equal(prof.v_ranks, [ecdf_brute(x2, b) for b in x2])
+        assert prof.u_counts.tolist() == [sum(b <= a for b in x1) for a in x1]
+        assert prof.v_counts.tolist() == [sum(a <= b for a in x2) for b in x2]
+        for counts in (prof.u_counts, prof.v_counts):
+            assert counts.dtype == np.int64 and not counts.flags.writeable
 
 
 def test_dataset_is_sorted_once(monkeypatch):

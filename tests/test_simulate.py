@@ -289,6 +289,28 @@ class TestRejectionRate:
         again = generate_dataset(spec5, replication_streams(spec5, 0)[0])
         assert np.array_equal(base.x1, again.x1) and np.array_equal(base.x2, again.x2)
 
+    def test_scenario_key_once_per_call(self, monkeypatch):
+        import domtest.simulate as simulate
+
+        spec = _spec(OdcFamily(FamilyKind.POWER_NULL, 0.0), n1=15, n2=15, mc_reps=5, num_reps=29)
+        expected = rejection_rate(spec)
+        calls = []
+        key = simulate._scenario_key
+        monkeypatch.setattr(simulate, "_scenario_key", lambda s: calls.append(s) or key(s))
+        assert rejection_rate(spec) == expected
+        assert len(calls) == 1
+
+    def test_equal_specs_keep_their_own_streams(self):
+        # gamma = -0.0 and 0.0 specs compare and hash equal but key apart, so
+        # no cache keyed on the spec may stand in for _scenario_key
+        from domtest.simulate import replication_streams
+
+        neg, pos = (_spec(OdcFamily(FamilyKind.POWER_NULL, g), n1=10, n2=10) for g in (-0.0, 0.0))
+        assert neg == pos and hash(neg) == hash(pos)
+        x_neg = generate_dataset(neg, replication_streams(neg, 0)[0]).x1
+        x_pos = generate_dataset(pos, replication_streams(pos, 0)[0]).x1
+        assert not np.array_equal(x_neg, x_pos)
+
     def test_strong_alternative_rejects_often(self):
         spec = _spec(
             OdcFamily(FamilyKind.POWER_ALT, 0.5),
