@@ -8,111 +8,23 @@ contact-set screen on the bootstrap draws, controlled by the tuning
 parameter ``tau``, trades a more aggressive critical value for extra power;
 ``tau = inf`` gives the plain bootstrap. A Monte Carlo driver reproduces
 rejection-rate studies for parametric dominance-curve families.
+
+Each module's ``__all__`` lists its public names; the package exports their
+union.
 """
 
 __version__ = "0.1.0"
 
-from .bootstrap import (
-    BootstrapConfig,
-    BootstrapWeights,
-    TestReport,
-    VarianceProfile,
-    bootstrap_odc,
-    bootstrap_statistic_modified,
-    bootstrap_statistic_standard,
-    critical_value,
-    draw_weights,
-    empirical_copula_diag,
-    run_test,
-    variance_profile,
-)
-from .limitdist import (
-    BridgePathConfig,
-    LimitVarianceInputs,
-    bridge_paths,
-    limit_quantiles,
-    limit_variance,
-    simulate_bridge_functional,
-)
-from .odc import (
-    OdcCurve,
-    Pairing,
-    RankProfile,
-    TwoSampleData,
-    ecdf_eval,
-    empirical_odc,
-    empirical_quantile,
-    rank_profile,
-)
-from .simulate import (
-    CopulaKind,
-    CopulaSpec,
-    FamilyKind,
-    OdcFamily,
-    RateResult,
-    ScenarioSpec,
-    gaussian_copula_pair,
-    generate_dataset,
-    normal_cdf,
-    normal_quantile,
-    odc_family_eval,
-    rejection_rate,
-)
-from .stats import (
-    EffectiveSize,
-    StatisticValue,
-    StatKind,
-    effective_size,
-    ks_statistic,
-    odc_area_functional,
-    wmw_statistic,
-)
+from . import bootstrap, limitdist, odc, simulate, stats
+from .bootstrap import *
+from .limitdist import *
+from .odc import *
+from .simulate import *
+from .stats import *
 
-__all__ = [
-    "__version__",
-    "BootstrapConfig",
-    "BootstrapWeights",
-    "BridgePathConfig",
-    "CopulaKind",
-    "CopulaSpec",
-    "EffectiveSize",
-    "FamilyKind",
-    "LimitVarianceInputs",
-    "OdcCurve",
-    "OdcFamily",
-    "Pairing",
-    "RankProfile",
-    "RateResult",
-    "ScenarioSpec",
-    "StatisticValue",
-    "StatKind",
-    "TestReport",
-    "TwoSampleData",
-    "VarianceProfile",
-    "bootstrap_odc",
-    "bootstrap_statistic_modified",
-    "bootstrap_statistic_standard",
-    "bridge_paths",
-    "critical_value",
-    "draw_weights",
-    "ecdf_eval",
-    "effective_size",
-    "empirical_copula_diag",
-    "empirical_odc",
-    "empirical_quantile",
-    "gaussian_copula_pair",
-    "generate_dataset",
-    "ks_statistic",
-    "limit_quantiles",
-    "limit_variance",
-    "normal_cdf",
-    "normal_quantile",
-    "odc_area_functional",
-    "odc_family_eval",
-    "rank_profile",
-    "rejection_rate",
-    "run_test",
-    "simulate_bridge_functional",
-    "variance_profile",
-    "wmw_statistic",
-]
+__all__ = ["__version__"]
+__all__ += bootstrap.__all__
+__all__ += limitdist.__all__
+__all__ += odc.__all__
+__all__ += simulate.__all__
+__all__ += stats.__all__

@@ -121,7 +121,8 @@ class BootstrapConfig:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Outcome of one dominance test plus every parameter that produced it."""
+    """Outcome of one dominance test plus every parameter that produced it;
+    ``run_test`` fills the config's fields from ``BootstrapConfig`` by name."""
 
     statistic: float
     critical_value: float
@@ -218,16 +219,17 @@ def bootstrap_statistic_modified(
         raise ValueError(f"tau must be positive (inf allowed), got {tau}")
     if v.v.size != odc.n2:
         raise ValueError("variance profile does not match the grid")
-    return _recentered_statistic(odc_star, odc, _kept_columns(odc.counts, odc.n1, v.v, tau))
+    return _recentered_statistic(odc_star, odc, _kept_columns(odc.counts, odc.n1, lambda: v, tau))
 
 
-def _kept_columns(counts: np.ndarray, n1: int, v: np.ndarray, tau: float) -> np.ndarray | None:
-    """Grid columns kept by the screen of ``bootstrap_statistic_modified``, None for all."""
+def _kept_columns(counts: np.ndarray, n1: int, profile, tau: float) -> np.ndarray | None:
+    """Grid columns kept by the screen of ``bootstrap_statistic_modified``, None
+    for all; ``profile()`` gives the ``VarianceProfile``, read only for finite tau."""
     if math.isinf(tau):
         return None
     n2 = counts.size
     grid = np.arange(1, n2 + 1, dtype=np.float64) / n2
-    return np.flatnonzero(_sqrt_tn(n1, n2) * (counts / n1 - grid) >= -tau * np.sqrt(v))
+    return np.flatnonzero(_sqrt_tn(n1, n2) * (counts / n1 - grid) >= -tau * np.sqrt(profile().v))
 
 
 def _wmw_sums(excess: np.ndarray, keep: np.ndarray | None, n1: int, n2: int) -> np.ndarray:
@@ -349,7 +351,7 @@ class _Prepared:
 
     def keep_columns(self, tau: float) -> np.ndarray | None:
         """Grid columns retained by the contact-set screen, None for all."""
-        return _kept_columns(self.m, self.n1, variance_profile(self.data).v, tau)
+        return _kept_columns(self.m, self.n1, lambda: variance_profile(self.data), tau)
 
     def wmw_head(self, hits: np.ndarray, out=None) -> np.ndarray:
         """h[r, k] counts the resampled x1 of row r at or below sorted x2
@@ -530,13 +532,8 @@ def run_test(
         p_value=p_value,
         reject=bool(stat > max(cv, config.eta)),
         ties_detected=data.ties_detected,
-        alpha=config.alpha,
-        tau=config.tau,
-        num_reps=config.num_reps,
-        eta=config.eta,
-        seed=config.seed,
         pairing=data.pairing,
         n1=data.n1,
         n2=data.n2,
-        statistic_kind=config.statistic_kind,
+        **vars(config),
     )

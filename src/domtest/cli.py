@@ -174,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n1", type=int)
     p_sim.add_argument("--n2", type=int)
     p_sim.add_argument("--paired", action="store_true")
-    p_sim.add_argument("--rho", type=float, default=0.0, help="Gaussian copula correlation")
+    p_sim.add_argument("--rho", type=float, help="Gaussian copula correlation (needs --paired)")
     p_sim.add_argument("--reps", type=int, default=5000, help="Monte Carlo replications")
     p_sim.add_argument("--boot", type=int, default=500)
     p_sim.add_argument("--tau", type=float, default=0.75)
@@ -231,12 +231,14 @@ def _cmd_simulate(args) -> str:
         n1, n2 = args.n1, args.n2
     if n1 is None or n2 is None:
         raise argparse.ArgumentTypeError("give --n, or both --n1 and --n2")
+    if args.rho is not None and not args.paired:
+        raise argparse.ArgumentTypeError("--rho needs --paired")
     spec = _usage_checked(
         lambda: ScenarioSpec(
             family=OdcFamily(kind=FamilyKind(args.family), gamma=args.gamma),
             n1=n1,
             n2=n2,
-            copula=CopulaSpec(kind=CopulaKind.GAUSSIAN, rho=args.rho)
+            copula=CopulaSpec(kind=CopulaKind.GAUSSIAN, rho=0.0 if args.rho is None else args.rho)
             if args.paired
             else CopulaSpec(kind=CopulaKind.PRODUCT),
             pairing=Pairing.MATCHED if args.paired else Pairing.INDEPENDENT,

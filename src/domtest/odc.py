@@ -52,6 +52,12 @@ def _check_int(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_member(name: str, value, kind: type[Enum]) -> None:
+    """Reject anything but a member of the enum ``kind``, its value included."""
+    if not isinstance(value, kind):
+        raise ValueError(f"invalid {name}: {value!r}")
+
+
 def _grid_counts(name: str, values: np.ndarray, n: int, least: int) -> np.ndarray:
     """Numerators ``k`` of ``values = k/n``, as floats, clipped to ``[least, n]``
     so that one comparison rejects off-grid and out-of-range values alike. A
@@ -79,8 +85,7 @@ class TwoSampleData:
     def __post_init__(self):
         object.__setattr__(self, "x1", _as_sample(self.x1, "x1"))
         object.__setattr__(self, "x2", _as_sample(self.x2, "x2"))
-        if not isinstance(self.pairing, Pairing):
-            raise ValueError(f"invalid pairing: {self.pairing!r}")
+        _check_member("pairing", self.pairing, Pairing)
         if self.pairing is Pairing.MATCHED and self.x1.size != self.x2.size:
             raise ValueError(
                 f"matched pairs need equal sample sizes, got {self.x1.size} and {self.x2.size}"

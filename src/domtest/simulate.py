@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .bootstrap import BootstrapConfig, run_test
-from .odc import Pairing, TwoSampleData, _check_int
+from .odc import Pairing, TwoSampleData, _check_int, _check_member
 
 __all__ = [
     "FamilyKind",
@@ -55,6 +55,7 @@ class OdcFamily:
     gamma: float = 0.0
 
     def __post_init__(self):
+        _check_member("family kind", self.kind, FamilyKind)
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
         if self.kind is not FamilyKind.NORMAL_SHIFT_ALT and self.gamma < 0.0:
@@ -81,6 +82,7 @@ class CopulaSpec:
     rho: float = 0.0
 
     def __post_init__(self):
+        _check_member("copula kind", self.kind, CopulaKind)
         if self.kind is CopulaKind.GAUSSIAN and not (-1.0 < self.rho < 1.0):
             raise ValueError(f"Gaussian copula needs |rho| < 1, got {self.rho}")
 
@@ -101,6 +103,7 @@ class ScenarioSpec:
     def __post_init__(self):
         for name in ("n1", "n2", "mc_reps"):
             _check_int(name, getattr(self, name), 1)
+        _check_member("pairing", self.pairing, Pairing)
         if self.pairing is Pairing.MATCHED and self.n1 != self.n2:
             raise ValueError("matched pairs need n1 == n2")
         if self.pairing is Pairing.INDEPENDENT and self.copula.kind is not CopulaKind.PRODUCT:

@@ -363,6 +363,17 @@ class TestRunTest:
         assert (report.eta, report.seed) == (1e-6, 11)
         assert (report.n1, report.n2, report.pairing) == (2, 2, Pairing.INDEPENDENT)
 
+    @pytest.mark.parametrize("pairing", list(Pairing))
+    def test_infinite_tau_builds_no_variance_profile(self, monkeypatch, pairing):
+        def fail(data):
+            raise AssertionError("tau = inf keeps every cell without a variance profile")
+
+        data = TwoSampleData(x1=[1.0, 2.0, 5.0], x2=[0.5, 3.0, 4.0], pairing=pairing)
+        config = BootstrapConfig(tau=math.inf, num_reps=19)
+        expected = run_test(data, config)
+        monkeypatch.setattr("domtest.bootstrap.variance_profile", fail)
+        assert run_test(data, config) == expected
+
     def test_reject_consistent_with_fields(self):
         rng = np.random.default_rng(44)
         for _ in range(20):

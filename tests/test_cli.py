@@ -241,6 +241,16 @@ class TestMain:
         assert main(argv + ["--boot", "5"]) == 2
         assert "usage error" in capsys.readouterr().err
 
+    def test_simulate_rho_needs_paired(self, capsys):
+        argv = ["simulate", "--family", "power-null", "--n", "10", "--reps", "3", "--boot", "9"]
+        assert main(argv + ["--rho", "0.5"]) == 2
+        assert "--rho needs --paired" in capsys.readouterr().err
+        # --paired alone keeps its Gaussian copula at rho 0
+        assert main(argv + ["--paired"]) == 0
+        alone = capsys.readouterr().out
+        assert main(argv + ["--paired", "--rho", "0"]) == 0
+        assert capsys.readouterr().out == alone
+
     def test_null_quantiles_negative_seed_exits_2(self, capsys):
         argv = ["null-quantiles", "--paths", "10", "--grid", "10", "--seed", "-1"]
         assert main(argv) == 2
@@ -259,16 +269,40 @@ class TestMain:
         assert "usage error" in capsys.readouterr().err
 
 
+def _python(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this domtest."""
+    src = os.path.dirname(os.path.dirname(domtest.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # `domtest test` and `null-quantiles` never need scipy; only the
     # simulation code imports it, when it runs.
-    src = os.path.dirname(os.path.dirname(domtest.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, domtest.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _python(code) == "[]"
+
+
+def test_each_public_name_declared_once():
+    # A module's ``__all__`` is the only list of its public names: the package
+    # exports their union, and a name in two modules would silently take the
+    # later module's object.
+    modules = [domtest.bootstrap, domtest.limitdist, domtest.odc, domtest.simulate, domtest.stats]
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert set(names) | {"__version__"} == set(domtest.__all__)
+    assert len(domtest.__all__) == 46
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(domtest, name) is getattr(module, name)
+    code = (
+        "from domtest import *; import domtest; "
+        "print(sorted(name for name in domtest.__all__ if name in globals()))"
     )
-    assert out.stdout.strip() == "[]"
+    assert _python(code) == str(sorted(domtest.__all__))

@@ -96,7 +96,18 @@ class TestFamilyEval:
         assert odc_family_eval(family, 0.3) == 1.0
 
 
+    def test_family_kind_must_be_a_member(self):
+        # a string kind would fall through to the partial-null curve
+        with pytest.raises(ValueError, match="invalid family kind"):
+            OdcFamily(kind="power-null", gamma=0.5)
+
+
 class TestGaussianCopula:
+    def test_copula_kind_must_be_a_member(self):
+        # a string kind would give matched specs independent pairs
+        with pytest.raises(ValueError, match="invalid copula kind"):
+            CopulaSpec(kind="gaussian", rho=0.9)
+
     def test_rho_validation(self):
         with pytest.raises(ValueError):
             gaussian_copula_pair(1.0, np.random.default_rng(0))
@@ -198,6 +209,10 @@ class TestGenerateDataset:
                 mc_reps=5,
                 bootstrap=BootstrapConfig(),
             )
+
+    def test_pairing_must_be_a_member(self):
+        with pytest.raises(ValueError, match="invalid pairing"):
+            _spec(OdcFamily(FamilyKind.POWER_NULL, 0.0), pairing="matched")
 
     @pytest.mark.parametrize("field", ["n1", "n2", "mc_reps"])
     @pytest.mark.parametrize("value", [2.5, True, 0])
