@@ -385,16 +385,6 @@ class _Prepared:
         excess -= self.m
         return _wmw_sums(excess, keep, self.n1, self.n2)
 
-    def wmw_draws(self, w1: np.ndarray, w2: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
-        head = self.wmw_head(self.g1[_categories(w1)])
-        return self.wmw_tail(head, self.rank2[_categories(w2)], keep)
-
-    def ks_draws(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        """KS draws from row-wise weights ``w1`` and ``w2``; matched pairs
-        read ``w1`` alone."""
-        matched = self.data.pairing is Pairing.MATCHED
-        return self.ks_shared(w1 if matched else np.concatenate((w1, w2), axis=1))
-
     def ks_shared(self, w: np.ndarray, gathered=None, running=None) -> np.ndarray:
         """KS draws from weights over both samples: the shared weights of
         matched pairs, or each row's x1 weights joined to its x2 weights. The

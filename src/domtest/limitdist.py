@@ -6,14 +6,15 @@ part of a Brownian bridge. This module simulates that functional on a grid,
 extracts its empirical quantiles, and evaluates the pointwise variance of
 the general limit process for a given weight, curve slope, and copula.
 
-The simulation works in place on row blocks of about 2**16 grid elements,
-so its memory grows with the grid, not the number of paths. Chunks of 2048
-paths with one child seed each fix the stream; the block size changes no sample.
+The simulation works in place on row blocks of about 2**16 grid elements, so its
+memory grows with the grid, not the path count. Chunks of 2048 paths, one child
+seed each, run on ``_THREADS`` threads; no sample depends on block or thread count.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
 
 _CHUNK_PATHS = 2048  # paths per child seed: part of the random stream
 _BLOCK_ELEMENTS = 2**16  # grid elements per row block: a cache size, no sample depends on it
+_THREADS = 2  # chunk workers; no sample depends on it, so the machine does not set it
 
 
 @dataclass(frozen=True)
@@ -77,17 +79,16 @@ class LimitVarianceInputs:
             raise ValueError("C_uu violates the Frechet bounds")
 
 
-def _pinned_walk(rng: np.random.Generator, out: np.ndarray, tmp: np.ndarray) -> None:
-    """Fill each row of the C-contiguous ``out`` with a bridge at ``u = j/g``, j = 1..g.
+def _pinned_walk(rng: np.random.Generator, out: np.ndarray, tmp: np.ndarray, ramp) -> None:
+    """Fill each row of the C-contiguous ``out`` with a bridge at ``ramp = j/g``, j = 1..g.
 
     A scaled Gaussian walk pinned by ``B(u) = W(u) - u*W(1)`` has the exact bridge law
     there. Rows draw from ``rng`` in order, so row blocks equal one matrix; ``tmp`` is scratch.
     """
-    g = out.shape[1]
     rng.standard_normal(out=out)
-    out *= math.sqrt(1.0 / g)
+    out *= math.sqrt(1.0 / out.shape[1])
     np.cumsum(out, axis=1, out=out)
-    np.multiply(np.arange(1, g + 1, dtype=np.float64) / g, out[:, -1:], out=tmp)
+    np.multiply(ramp, out[:, -1:], out=tmp)
     out -= tmp
 
 
@@ -96,7 +97,7 @@ def bridge_paths(rng: np.random.Generator, num_paths: int, grid_size: int) -> np
     _check_int("num_paths", num_paths, 0)
     _check_int("grid_size", grid_size, 1)
     walk = np.empty((num_paths, grid_size), dtype=np.float64)
-    _pinned_walk(rng, walk, np.empty_like(walk))
+    _pinned_walk(rng, walk, np.empty_like(walk), np.arange(1, grid_size + 1) / grid_size)
     return np.hstack((np.zeros((num_paths, 1)), walk))
 
 
@@ -104,22 +105,37 @@ def simulate_bridge_functional(config: BridgePathConfig) -> np.ndarray:
     """Monte Carlo samples of ``integral of max(B(u), 0)`` over (0, 1).
 
     Integration is a rectangle rule on the simulation grid. Paths are
-    generated in fixed-size chunks with independently derived child seeds,
-    so a parallel driver assigning chunks to workers reproduces the same
-    values in any order.
+    generated in fixed-size chunks with independently derived child seeds, and
+    worker k of ``_THREADS`` (the caller is worker 0) fills chunks k, k + T, ...
+    with its own row buffers, so the values do not depend on the thread count.
     """
     g, n = config.grid_size, config.num_paths
-    block = min(_CHUNK_PATHS, n, max(1, _BLOCK_ELEMENTS // g))
-    buf, tmp = np.empty((block, g)), np.empty((block, g))
-    children = np.random.SeedSequence(config.seed).spawn((n + _CHUNK_PATHS - 1) // _CHUNK_PATHS)
-    out = np.empty(n, dtype=np.float64)
-    for c, rng in enumerate(map(np.random.default_rng, children)):
-        end = min(n, (c + 1) * _CHUNK_PATHS)
-        for lo in range(c * _CHUNK_PATHS, end, block):
-            walk = buf[: min(block, end - lo)]
-            _pinned_walk(rng, walk, tmp[: len(walk)])
-            np.maximum(walk, 0.0, out=walk)
-            out[lo : lo + len(walk)] = walk.sum(axis=1) / g
+    block = min(_CHUNK_PATHS, n, max(1, _BLOCK_ELEMENTS // _THREADS // g))
+    ramp = np.arange(1, g + 1) / g
+    seeds = np.random.SeedSequence(config.seed).spawn((n + _CHUNK_PATHS - 1) // _CHUNK_PATHS)
+    out, errors = np.empty(n, dtype=np.float64), []
+
+    def work(first: int) -> None:
+        try:
+            buf, tmp = np.empty((block, g)), np.empty((block, g))
+            for c in range(first, len(seeds), _THREADS):
+                rng, end = np.random.default_rng(seeds[c]), min(n, (c + 1) * _CHUNK_PATHS)
+                for lo in range(c * _CHUNK_PATHS, end, block):
+                    walk = buf[: min(block, end - lo)]
+                    _pinned_walk(rng, walk, tmp[: len(walk)], ramp)
+                    np.maximum(walk, 0.0, out=walk)
+                    out[lo : lo + len(walk)] = walk.sum(axis=1) / g
+        except BaseException as exc:  # re-raised below: a chunk left unfilled must not pass
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=[k]) for k in range(1, min(_THREADS, len(seeds)))]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 

@@ -52,8 +52,8 @@ def _check_int(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_member(name: str, value, kind: type[Enum]) -> None:
-    """Reject anything but a member of the enum ``kind``, its value included."""
+def _check_member(name: str, value, kind: type) -> None:
+    """Reject anything but an instance of ``kind``: an enum's value is no member."""
     if not isinstance(value, kind):
         raise ValueError(f"invalid {name}: {value!r}")
 

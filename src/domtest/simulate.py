@@ -85,6 +85,8 @@ class CopulaSpec:
         _check_member("copula kind", self.kind, CopulaKind)
         if self.kind is CopulaKind.GAUSSIAN and not (-1.0 < self.rho < 1.0):
             raise ValueError(f"Gaussian copula needs |rho| < 1, got {self.rho}")
+        if self.kind is CopulaKind.PRODUCT and repr(float(self.rho)) != "0.0":
+            raise ValueError(f"the product copula takes no rho, got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,9 @@ class ScenarioSpec:
     def __post_init__(self):
         for name in ("n1", "n2", "mc_reps"):
             _check_int(name, getattr(self, name), 1)
-        _check_member("pairing", self.pairing, Pairing)
+        for name, kind in [("family", OdcFamily), ("copula", CopulaSpec), ("pairing", Pairing),
+                           ("bootstrap", BootstrapConfig)]:
+            _check_member(name, getattr(self, name), kind)
         if self.pairing is Pairing.MATCHED and self.n1 != self.n2:
             raise ValueError("matched pairs need n1 == n2")
         if self.pairing is Pairing.INDEPENDENT and self.copula.kind is not CopulaKind.PRODUCT:

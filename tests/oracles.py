@@ -2,6 +2,9 @@
 
 Everything here is written from the definitions with plain loops, Fractions,
 and quadrature, and deliberately shares no code with the library under test.
+The one exception is the last section: two adapters that feed row-wise weight
+matrices to the bootstrap engine, so tests can compare its draws with these
+oracles weight row by weight row.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+
+from domtest import Pairing
+from domtest.bootstrap import _categories
 
 # ---------------------------------------------------------------------------
 # plain and weighted empirical distributions
@@ -317,3 +323,20 @@ def bridge_functional_reference(num_paths, grid_size, seed, chunk_paths=2048):
         bridge = walk - u[np.newaxis, :] * walk[:, -1:]
         out.append(np.maximum(bridge, 0.0).sum(axis=1) / grid_size)
     return np.concatenate(out)
+
+
+# ---------------------------------------------------------------------------
+# engine adapters: a ``_Prepared`` engine driven by row-wise weight matrices
+
+
+def wmw_draws(prep, w1, w2, keep):
+    """WMW draws of the engine ``prep`` from row-wise weights ``w1`` and ``w2``."""
+    head = prep.wmw_head(prep.g1[_categories(w1)])
+    return prep.wmw_tail(head, prep.rank2[_categories(w2)], keep)
+
+
+def ks_draws(prep, w1, w2):
+    """KS draws of the engine ``prep`` from row-wise weights ``w1`` and ``w2``;
+    matched pairs read ``w1`` alone."""
+    matched = prep.data.pairing is Pairing.MATCHED
+    return prep.ks_shared(w1 if matched else np.concatenate((w1, w2), axis=1))

@@ -22,6 +22,7 @@ from oracles import (
     enumerate_bootstrap,
     exact_critical_value,
     quantile_gap,
+    wmw_draws,
 )
 
 BRIDGE_MEAN = math.pi / (8.0 * math.sqrt(2.0 * math.pi))
@@ -201,7 +202,7 @@ def test_c08_tau_inf_recovery_bit_identical():
     prep = _Prepared(data)
     w = _multinomial_rows(np.random.default_rng(8), data.n1, draws)
     engine_equal = np.array_equal(
-        prep.wmw_draws(w, w, None), prep.wmw_draws(w, w, np.arange(data.n2))
+        wmw_draws(prep, w, w, None), wmw_draws(prep, w, w, np.arange(data.n2))
     )
     ok = mism_ops == 0 and engine_equal
     _criterion(

@@ -33,7 +33,9 @@ from oracles import (
     enumerate_bootstrap,
     exact_critical_value,
     exact_point_mass,
+    ks_draws,
     multinomial_prob,
+    wmw_draws,
 )
 
 ORACLE_X1 = [1.0, 2.0, 6.0]
@@ -476,7 +478,7 @@ class TestBatchEngine:
             else:
                 w2 = _multinomial_rows(np.random.default_rng(78), data.n2, 64)
             for tau in (math.inf, 0.75):
-                draws = prep.wmw_draws(w1, w2, prep.keep_columns(tau))
+                draws = wmw_draws(prep, w1, w2, prep.keep_columns(tau))
                 base = empirical_odc(data)
                 v = variance_profile(data)
                 expected = []
@@ -536,7 +538,7 @@ class TestBatchEngine:
         w1[0, 0] = w2[0, -1] = n
         w1[1] = _multinomial_rows(np.random.default_rng(11), n, 1)[0]
         w2[1] = _multinomial_rows(np.random.default_rng(12), n, 1)[0]
-        draws = prep.ks_draws(w1, w2)
+        draws = ks_draws(prep, w1, w2)
 
         zeros = np.zeros((2, 1), dtype=np.int64)
         cum1 = np.concatenate([zeros, np.cumsum(w1[:, prep.perm1], axis=1)], axis=1)
@@ -558,7 +560,7 @@ class TestBatchEngine:
         n1, n2 = data.n1, data.n2
         w1 = _multinomial_rows(np.random.default_rng(9), n1, 32)
         w2 = w1 if pairing is Pairing.MATCHED else _multinomial_rows(np.random.default_rng(10), n2, 32)
-        draws = prep.ks_draws(w1, w2)
+        draws = ks_draws(prep, w1, w2)
         sqrt_tn = math.sqrt(n1 * n2 / (n1 + n2))
         pooled = np.concatenate([data.x1, data.x2])
         for r in range(32):

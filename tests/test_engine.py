@@ -18,7 +18,7 @@ from numpy.testing import assert_array_equal
 from domtest import BootstrapConfig, Pairing, StatKind, TwoSampleData, run_test
 from domtest.bootstrap import _bootstrap_draws, _categories, _counts, _Prepared
 
-from oracles import odc_counts_reference, wmw_draws_reference
+from oracles import ks_draws, odc_counts_reference, wmw_draws, wmw_draws_reference
 
 # few distinct values, so most datasets carry heavy ties
 _VALUES = st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.0])
@@ -75,7 +75,7 @@ def test_draw_indexed_rows_equal_count_reference(case, tau):
     want_odc, _ = odc_counts_reference(data.x1, data.x2, w1, w2)
     assert_array_equal(prep.odc_counts(c1, c2), want_odc)
     want = wmw_draws_reference(data.x1, data.x2, w1, w2, keep)
-    assert_array_equal(prep.wmw_draws(w1, w2, keep), want)
+    assert_array_equal(wmw_draws(prep, w1, w2, keep), want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -123,7 +123,7 @@ def test_engine_replays_the_draw_schedule(monkeypatch, pairing, kind):
         if kind is StatKind.WMW:
             want.append(wmw_draws_reference(data.x1, data.x2, w1, w2, prep.keep_columns(0.75)))
         else:
-            want.append(prep.ks_draws(w1, w2))
+            want.append(ks_draws(prep, w1, w2))
     assert_array_equal(got, np.concatenate(want))
 
 
@@ -190,7 +190,7 @@ def test_prepared_builds_only_what_its_statistic_reads():
     wmw = _Prepared(data)
     wmw.odc_counts(c1, c2)
     ks = _Prepared(data)
-    ks.ks_draws(_counts(c1), _counts(c2))
+    ks_draws(ks, _counts(c1), _counts(c2))
     assert {"g1", "rank2"} <= vars(wmw).keys()
     assert "ks_merged" not in vars(wmw)
     assert "ks_merged" in vars(ks)

@@ -1,11 +1,14 @@
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import domtest.limitdist as limitdist
 from domtest import (
     BridgePathConfig,
     LimitVarianceInputs,
@@ -81,6 +84,41 @@ class TestBridgeFunctional:
             simulate_bridge_functional(config),
             bridge_functional_reference(num_paths, grid_size, seed),
         )
+
+    # one chunk; two; ten; a partial last chunk
+    @pytest.mark.parametrize(
+        "num_paths, grid_size", [(100, 50), (4096, 20), (20480, 5), (4103, 33)]
+    )
+    def test_bytes_do_not_depend_on_thread_count(self, monkeypatch, num_paths, grid_size):
+        want = bridge_functional_reference(num_paths, grid_size, 8).view(np.int64)
+        config = BridgePathConfig(num_paths=num_paths, grid_size=grid_size, seed=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a shared write would show
+        try:
+            for threads in (1, 2, 3):
+                monkeypatch.setattr(limitdist, "_THREADS", threads)
+                assert_array_equal(simulate_bridge_functional(config).view(np.int64), want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    # chunk 0 runs on the calling thread, chunks 1 and 2 on the others
+    @pytest.mark.parametrize("threads, bad_chunk", [(2, 0), (2, 1), (3, 2)])
+    def test_worker_error_reaches_the_caller(self, monkeypatch, threads, bad_chunk):
+        # a 10-point grid walks each chunk in one block, so the chunk's fresh state marks it
+        child = np.random.SeedSequence(0).spawn(3)[bad_chunk]
+        bad_state = np.random.default_rng(child).bit_generator.state
+
+        def failing_walk(rng, *args):
+            if rng.bit_generator.state == bad_state:
+                raise FloatingPointError(f"chunk {bad_chunk}")
+            pinned_walk(rng, *args)
+
+        pinned_walk, started = limitdist._pinned_walk, threading.active_count()
+        monkeypatch.setattr(limitdist, "_THREADS", threads)
+        monkeypatch.setattr(limitdist, "_pinned_walk", failing_walk)
+        with pytest.raises(FloatingPointError, match=f"chunk {bad_chunk}"):
+            simulate_bridge_functional(BridgePathConfig(num_paths=3 * 2048, grid_size=10))
+        assert threading.active_count() == started
 
     def test_peak_memory_depends_on_grid_not_paths(self):
         def traced_peak_without_output(num_paths, grid_size):

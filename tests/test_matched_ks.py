@@ -4,7 +4,7 @@ Matched pairs share one weight vector ``w``; independent samples join each
 row's x1 weights to its x2 weights. Either way the recentered KS numerator at
 every pooled point is a single running sum over both sorted samples taken
 together. These tests check the streamed engine draw for draw against the
-one-shot reduction ``_Prepared.ks_draws`` and against the definition, on wide
+one-shot reduction ``oracles.ks_draws`` and against the definition, on wide
 grids where 32-bit sums would wrap, and bound its memory.
 """
 
@@ -21,7 +21,7 @@ from domtest import BootstrapConfig, Pairing, StatKind, TwoSampleData, run_test
 from domtest.bootstrap import _bootstrap_draws, _counts, _multinomial_rows, _Prepared
 from domtest.stats import _sqrt_tn
 
-from oracles import ks_recentered_brute
+from oracles import ks_draws, ks_recentered_brute
 
 # few distinct values, so most datasets carry heavy ties
 _VALUES = st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.0])
@@ -91,7 +91,7 @@ def test_engine_equals_two_sample_reduction_and_definition(
         w1.append(_counts(replay.integers(0, n1, size=(rows, n1))))
         w2.append(w1[-1] if matched else _counts(replay.integers(0, n2, size=(rows, n2))))
     w1, w2 = np.concatenate(w1), np.concatenate(w2)
-    assert_array_equal(got, _Prepared(data).ks_draws(w1, w2))
+    assert_array_equal(got, ks_draws(_Prepared(data), w1, w2))
     best = [ks_recentered_brute(data.x1, data.x2, r1, r2) for r1, r2 in zip(w1, w2)]
     assert_array_equal(got, np.array(best) * (_sqrt_tn(n1, n2) / (n1 * n2)))
 

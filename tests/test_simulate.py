@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -107,6 +108,14 @@ class TestGaussianCopula:
         # a string kind would give matched specs independent pairs
         with pytest.raises(ValueError, match="invalid copula kind"):
             CopulaSpec(kind="gaussian", rho=0.9)
+
+    @pytest.mark.parametrize("rho", [0.9, -0.5, -0.0, math.nan])
+    def test_product_copula_takes_no_rho(self, rho):
+        # the product copula ignores rho, which _scenario_key would still hash
+        # into another stream for the same scenario
+        with pytest.raises(ValueError, match="takes no rho"):
+            CopulaSpec(kind=CopulaKind.PRODUCT, rho=rho)
+        assert CopulaSpec(kind=CopulaKind.PRODUCT, rho=0) == CopulaSpec()
 
     def test_rho_validation(self):
         with pytest.raises(ValueError):
@@ -228,6 +237,19 @@ class TestGenerateDataset:
         plain = _spec(family, **sizes, num_reps=9)
         spec = _spec(family, **{**sizes, field: np.int64(sizes[field])}, num_reps=9)
         assert rejection_rate(spec) == rejection_rate(plain)
+
+
+class TestScenarioSpec:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("family", FamilyKind.POWER_NULL), ("copula", CopulaKind.PRODUCT),
+         ("bootstrap", {"num_reps": 50, "seed": 0})],
+    )
+    def test_parts_must_have_their_types(self, field, value):
+        # caught at construction, not as an AttributeError at the first replication
+        spec = _spec(OdcFamily(FamilyKind.POWER_NULL, 0.0))
+        with pytest.raises(ValueError, match=f"invalid {field}"):
+            dataclasses.replace(spec, **{field: value})
 
 
 class TestRejectionRate:
