@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .odc import (
-    OdcCurve, Pairing, RankProfile, TwoSampleData, _check_int, empirical_odc, rank_profile
+    OdcCurve, Pairing, RankProfile, TwoSampleData, _check_int, _check_real, empirical_odc,
+    rank_profile,
 )
 from .stats import StatKind, _sqrt_tn, ks_statistic, wmw_statistic
 
@@ -102,6 +103,10 @@ class BootstrapConfig:
     statistic_kind: StatKind = StatKind.WMW
 
     def __post_init__(self):
+        for name in ("alpha", "tau", "eta"):
+            _check_real(name, getattr(self, name))
+            # numpy scalars pass the check; store Python floats so reports serialize.
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (0.0 < self.alpha < 0.5):
             raise ValueError(f"alpha must lie in (0, 0.5), got {self.alpha}")
         if not (self.tau > 0.0):

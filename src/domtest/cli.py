@@ -79,7 +79,7 @@ def parse_csv(source, paired: bool = False) -> TwoSampleData:
     the 1-based line number.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return parse_csv(fh, paired=paired)
     rows = list(csv.reader(source))
     start = 1 if rows and not any(map(_is_number, rows[0])) else 0

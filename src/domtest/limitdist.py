@@ -15,16 +15,15 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .odc import _check_int, _quantile_rank
+from .odc import _check_int, _check_real, _quantile_rank
 
 __all__ = [
     "BridgePathConfig",
     "LimitVarianceInputs",
-    "bridge_paths",
     "simulate_bridge_functional",
     "limit_quantiles",
     "limit_variance",
@@ -65,6 +64,8 @@ class LimitVarianceInputs:
     C_uu: float
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_real(f.name, getattr(self, f.name))
         if not (0.0 < self.u < 1.0):
             raise ValueError(f"u must lie in (0, 1), got {self.u}")
         if not (0.0 < self.lam <= 1.0):
@@ -90,15 +91,6 @@ def _pinned_walk(rng: np.random.Generator, out: np.ndarray, tmp: np.ndarray, ram
     np.cumsum(out, axis=1, out=out)
     np.multiply(ramp, out[:, -1:], out=tmp)
     out -= tmp
-
-
-def bridge_paths(rng: np.random.Generator, num_paths: int, grid_size: int) -> np.ndarray:
-    """Brownian bridge paths on ``j/grid_size``, j = 0..grid_size, pinned to zero at both ends."""
-    _check_int("num_paths", num_paths, 0)
-    _check_int("grid_size", grid_size, 1)
-    walk = np.empty((num_paths, grid_size), dtype=np.float64)
-    _pinned_walk(rng, walk, np.empty_like(walk), np.arange(1, grid_size + 1) / grid_size)
-    return np.hstack((np.zeros((num_paths, 1)), walk))
 
 
 def simulate_bridge_functional(config: BridgePathConfig) -> np.ndarray:
@@ -142,8 +134,7 @@ def simulate_bridge_functional(config: BridgePathConfig) -> np.ndarray:
 def limit_quantiles(samples, levels) -> np.ndarray:
     """Empirical quantiles at the given levels, as infima.
 
-    Uses the k-th smallest sample for the smallest k with ``k/N >= p``, the
-    order-statistic rule of ``empirical_quantile``.
+    Uses the k-th smallest sample for the smallest k with ``k/N >= p``.
     """
     arr = np.asarray(samples, dtype=np.float64).reshape(-1)
     if arr.size == 0:

@@ -1,16 +1,14 @@
 """Order-statistics layer for two-sample dominance analysis.
 
-Empirical CDFs, empirical quantile functions, per-observation ranks, and the
-empirical ordinal dominance curve (ODC), i.e. the PP-style curve
-``u -> F1_hat(Q2_hat(u))`` evaluated on the grid ``i/n2``. Everything here
-depends on the data only through ranks, and every function is pure, so calls
-are safe from concurrent code without coordination.
+Per-observation ranks and the empirical ordinal dominance curve (ODC), i.e.
+the PP-style curve ``u -> F1_hat(Q2_hat(u))`` evaluated on the grid ``i/n2``.
+Everything here depends on the data only through ranks, and every function is
+pure, so calls are safe from concurrent code without coordination.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -21,8 +19,6 @@ __all__ = [
     "TwoSampleData",
     "OdcCurve",
     "RankProfile",
-    "ecdf_eval",
-    "empirical_quantile",
     "empirical_odc",
     "rank_profile",
 ]
@@ -50,6 +46,12 @@ def _check_int(name: str, value, least: int) -> None:
     of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    """Reject anything but a real number (numpy integers and floats included, bool not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _check_member(name: str, value, kind: type) -> None:
@@ -189,30 +191,10 @@ class RankProfile:
         return self.u_ranks.size
 
 
-def ecdf_eval(sample, x: float) -> float:
-    """Empirical CDF of ``sample`` at ``x``: the fraction of values <= x."""
-    arr = _as_sample(sample, "sample")
-    if not math.isfinite(x):
-        raise ValueError("evaluation point must be finite")
-    return int(np.count_nonzero(arr <= x)) / arr.size
-
-
 def _quantile_rank(n: int, level: float) -> int:
     """Smallest k in [1, n] with ``k/n >= level``, compared on the float grid
     ``k/n``: the rank of the infimum quantile at ``level``."""
     return 1 + int(np.count_nonzero(np.arange(1, n) / n < level))
-
-
-def empirical_quantile(sample, u: float) -> float:
-    """Empirical quantile ``inf{x : ecdf(x) >= u}`` for ``u`` in (0, 1].
-
-    Returns the k-th order statistic for the smallest k with ``k/n >= u``.
-    """
-    arr = _as_sample(sample, "sample")
-    if not (0.0 < u <= 1.0):
-        raise ValueError(f"quantile level must lie in (0, 1], got {u}")
-    k = _quantile_rank(arr.size, u)
-    return float(np.partition(arr, k - 1)[k - 1])
 
 
 def empirical_odc(data: TwoSampleData) -> OdcCurve:

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .bootstrap import BootstrapConfig, run_test
-from .odc import Pairing, TwoSampleData, _check_int, _check_member
+from .odc import Pairing, TwoSampleData, _check_int, _check_member, _check_real
 
 __all__ = [
     "FamilyKind",
@@ -27,11 +27,8 @@ __all__ = [
     "ScenarioSpec",
     "RateResult",
     "odc_family_eval",
-    "gaussian_copula_pair",
     "generate_dataset",
     "rejection_rate",
-    "normal_cdf",
-    "normal_quantile",
 ]
 
 # Uniform draws are clamped into the largest open interval of doubles so the
@@ -56,6 +53,7 @@ class OdcFamily:
 
     def __post_init__(self):
         _check_member("family kind", self.kind, FamilyKind)
+        _check_real("gamma", self.gamma)
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
         if self.kind is not FamilyKind.NORMAL_SHIFT_ALT and self.gamma < 0.0:
@@ -83,6 +81,7 @@ class CopulaSpec:
 
     def __post_init__(self):
         _check_member("copula kind", self.kind, CopulaKind)
+        _check_real("rho", self.rho)
         if self.kind is CopulaKind.GAUSSIAN and not (-1.0 < self.rho < 1.0):
             raise ValueError(f"Gaussian copula needs |rho| < 1, got {self.rho}")
         if self.kind is CopulaKind.PRODUCT and repr(float(self.rho)) != "0.0":
@@ -124,28 +123,6 @@ class RateResult:
     reps: int
 
 
-def normal_cdf(x):
-    """Standard normal CDF, elementwise on arrays."""
-    from scipy.special import ndtr
-
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("normal_cdf needs finite input")
-    out = ndtr(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def normal_quantile(p):
-    """Standard normal quantile for p in (0, 1), elementwise on arrays."""
-    from scipy.special import ndtri
-
-    arr = np.asarray(p, dtype=np.float64)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("normal_quantile needs p in (0, 1)")
-    out = ndtri(arr)
-    return float(out) if np.isscalar(p) or arr.ndim == 0 else out
-
-
 def odc_family_eval(family: OdcFamily, u):
     """Evaluate the family curve at ``u`` in (0, 1), elementwise on arrays."""
     from scipy.special import ndtr, ndtri
@@ -174,14 +151,6 @@ def _gaussian_copula(rho: float, n: int, rng: np.random.Generator) -> tuple[np.n
     u = ndtr(z1)
     v = ndtr(rho * z1 + math.sqrt(1.0 - rho * rho) * z2)
     return np.clip(u, _UNIT_LO, _UNIT_HI), np.clip(v, _UNIT_LO, _UNIT_HI)
-
-
-def gaussian_copula_pair(rho: float, rng: np.random.Generator) -> tuple[float, float]:
-    """One draw from the Gaussian copula: two uniforms with normal dependence."""
-    if not (-1.0 < rho < 1.0):
-        raise ValueError(f"need |rho| < 1, got {rho}")
-    u, v = _gaussian_copula(rho, 1, rng)
-    return float(u[0]), float(v[0])
 
 
 def _copula_uniforms(spec: ScenarioSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -18,9 +18,7 @@ from .odc import OdcCurve, TwoSampleData
 
 __all__ = [
     "StatKind",
-    "EffectiveSize",
     "StatisticValue",
-    "effective_size",
     "wmw_statistic",
     "odc_area_functional",
     "ks_statistic",
@@ -34,14 +32,6 @@ class StatKind(Enum):
 
 
 @dataclass(frozen=True)
-class EffectiveSize:
-    """Effective two-sample size ``n1*n2/(n1+n2)`` and the weight ``n2/(n1+n2)``."""
-
-    t_n: float
-    lambda_hat: float
-
-
-@dataclass(frozen=True)
 class StatisticValue:
     value: float
     kind: StatKind
@@ -49,13 +39,6 @@ class StatisticValue:
     def __post_init__(self):
         if not (self.value >= 0.0):
             raise ValueError(f"statistic must be nonnegative, got {self.value}")
-
-
-def effective_size(n1: int, n2: int) -> EffectiveSize:
-    if n1 < 1 or n2 < 1:
-        raise ValueError("sample sizes must be positive")
-    total = n1 + n2
-    return EffectiveSize(t_n=n1 * n2 / total, lambda_hat=n2 / total)
 
 
 def _sqrt_tn(n1: int, n2: int) -> float:

@@ -2,7 +2,8 @@
 
 Everything here is written from the definitions with plain loops, Fractions,
 and quadrature, and deliberately shares no code with the library under test.
-The one exception is the last section: two adapters that feed row-wise weight
+The exceptions are the last two sections: helpers that only tests call, built
+on the library's private pieces, and two adapters that feed row-wise weight
 matrices to the bootstrap engine, so tests can compare its draws with these
 oracles weight row by weight row.
 """
@@ -10,6 +11,7 @@ oracles weight row by weight row.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +20,9 @@ from scipy.optimize import brentq
 
 from domtest import Pairing
 from domtest.bootstrap import _categories
+from domtest.limitdist import _pinned_walk
+from domtest.odc import _as_sample, _check_int, _quantile_rank
+from domtest.simulate import _gaussian_copula
 
 # ---------------------------------------------------------------------------
 # plain and weighted empirical distributions
@@ -323,6 +328,84 @@ def bridge_functional_reference(num_paths, grid_size, seed, chunk_paths=2048):
         bridge = walk - u[np.newaxis, :] * walk[:, -1:]
         out.append(np.maximum(bridge, 0.0).sum(axis=1) / grid_size)
     return np.concatenate(out)
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers on the library's private pieces
+
+
+def ecdf_eval(sample, x: float) -> float:
+    """Empirical CDF of ``sample`` at ``x``: the fraction of values <= x."""
+    arr = _as_sample(sample, "sample")
+    if not math.isfinite(x):
+        raise ValueError("evaluation point must be finite")
+    return int(np.count_nonzero(arr <= x)) / arr.size
+
+
+def empirical_quantile(sample, u: float) -> float:
+    """Empirical quantile ``inf{x : ecdf(x) >= u}`` for ``u`` in (0, 1].
+
+    Returns the k-th order statistic for the smallest k with ``k/n >= u``.
+    """
+    arr = _as_sample(sample, "sample")
+    if not (0.0 < u <= 1.0):
+        raise ValueError(f"quantile level must lie in (0, 1], got {u}")
+    k = _quantile_rank(arr.size, u)
+    return float(np.partition(arr, k - 1)[k - 1])
+
+
+@dataclass(frozen=True)
+class EffectiveSize:
+    """Effective two-sample size ``n1*n2/(n1+n2)`` and the weight ``n2/(n1+n2)``."""
+
+    t_n: float
+    lambda_hat: float
+
+
+def effective_size(n1: int, n2: int) -> EffectiveSize:
+    if n1 < 1 or n2 < 1:
+        raise ValueError("sample sizes must be positive")
+    total = n1 + n2
+    return EffectiveSize(t_n=n1 * n2 / total, lambda_hat=n2 / total)
+
+
+def normal_cdf(x):
+    """Standard normal CDF, elementwise on arrays."""
+    from scipy.special import ndtr
+
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("normal_cdf needs finite input")
+    out = ndtr(arr)
+    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+
+
+def normal_quantile(p):
+    """Standard normal quantile for p in (0, 1), elementwise on arrays."""
+    from scipy.special import ndtri
+
+    arr = np.asarray(p, dtype=np.float64)
+    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+        raise ValueError("normal_quantile needs p in (0, 1)")
+    out = ndtri(arr)
+    return float(out) if np.isscalar(p) or arr.ndim == 0 else out
+
+
+def gaussian_copula_pair(rho: float, rng: np.random.Generator) -> tuple[float, float]:
+    """One draw from the Gaussian copula: two uniforms with normal dependence."""
+    if not (-1.0 < rho < 1.0):
+        raise ValueError(f"need |rho| < 1, got {rho}")
+    u, v = _gaussian_copula(rho, 1, rng)
+    return float(u[0]), float(v[0])
+
+
+def bridge_paths(rng: np.random.Generator, num_paths: int, grid_size: int) -> np.ndarray:
+    """Brownian bridge paths on ``j/grid_size``, j = 0..grid_size, pinned to zero at both ends."""
+    _check_int("num_paths", num_paths, 0)
+    _check_int("grid_size", grid_size, 1)
+    walk = np.empty((num_paths, grid_size), dtype=np.float64)
+    _pinned_walk(rng, walk, np.empty_like(walk), np.arange(1, grid_size + 1) / grid_size)
+    return np.hstack((np.zeros((num_paths, 1)), walk))
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,16 @@ class TestBootstrapConfig:
         data = TwoSampleData(x1=[1.0, 2.0], x2=[0.5, 3.0])
         assert run_test(data, config) == run_test(data, BootstrapConfig(num_reps=7))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", "0.05"), ("alpha", None), ("tau", "0.75"), ("tau", None), ("tau", True),
+         ("eta", "0"), ("eta", None), ("eta", True), ("eta", False)],
+    )
+    def test_float_fields_must_be_numbers(self, field, value):
+        # a bool would be written into the report as true/false
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            BootstrapConfig(**{field: value})
+
 
 class TestRunTest:
     def test_dominated_sample_never_rejects(self):
@@ -584,6 +594,20 @@ def test_numpy_integer_config_reports_serialize(field, value):
     config = BootstrapConfig(**{field: value})
     assert type(getattr(config, field)) is int
     plain = BootstrapConfig(**{field: int(value)})
+    assert emit_report(run_test(data, config)) == emit_report(run_test(data, plain))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("tau", np.float32(0.75)), ("alpha", np.float64(0.05)), ("eta", np.int64(0)), ("tau", 1)],
+)
+def test_numeric_float_fields_are_stored_as_floats(field, value):
+    # The config stores Python floats, so a numpy float32 serializes and an
+    # int tau is written as a float.
+    data = TwoSampleData(x1=[1.0, 2.0, 2.0], x2=[0.5, 3.0])
+    config = BootstrapConfig(**{field: value})
+    assert type(getattr(config, field)) is float
+    plain = BootstrapConfig(**{field: float(value)})
     assert emit_report(run_test(data, config)) == emit_report(run_test(data, plain))
 
 

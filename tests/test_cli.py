@@ -141,6 +141,21 @@ class TestMain:
         assert doc["pairing"] == "matched"
         assert doc["n1"] == 3
 
+    @pytest.mark.parametrize(
+        "text, paired",
+        [("1,0.2\n1,0.9\n2,0.4\n2,0.7\n", False),
+         ("0.2,0.4\n0.9,0.7\n0.5,0.1\n", True),
+         ("group,value\n1,0.2\n1,0.9\n2,0.4\n2,0.7\n", False)],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, text, paired):
+        # a spreadsheet's "CSV UTF-8" export starts with U+FEFF
+        argv = ["test", "--seed", "4", "--boot", "99"] + (["--paired"] if paired else [])
+        reports = []
+        for name, content in (("plain.csv", text), ("bom.csv", "\ufeff" + text)):
+            assert main(argv + ["--input", _write(tmp_path, name, content)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
     def test_odc_subcommand(self, tmp_path, capsys):
         path = _write(tmp_path, "d.csv", "group,value\n1,1\n1,3\n2,2\n2,4\n")
         assert main(["odc", "--input", path]) == 0
@@ -297,7 +312,7 @@ def test_each_public_name_declared_once():
     names = [name for module in modules for name in module.__all__]
     assert len(names) == len(set(names))
     assert set(names) | {"__version__"} == set(domtest.__all__)
-    assert len(domtest.__all__) == 46
+    assert len(domtest.__all__) == 38
     for module in modules:
         for name in module.__all__:
             assert getattr(domtest, name) is getattr(module, name)

@@ -12,13 +12,11 @@ import domtest.limitdist as limitdist
 from domtest import (
     BridgePathConfig,
     LimitVarianceInputs,
-    bridge_paths,
-    empirical_quantile,
     limit_quantiles,
     limit_variance,
     simulate_bridge_functional,
 )
-from oracles import bridge_functional_reference
+from oracles import bridge_functional_reference, bridge_paths, empirical_quantile
 
 # analytic mean of the positive-part bridge integral
 BRIDGE_MEAN = math.pi / (8.0 * math.sqrt(2.0 * math.pi))
@@ -256,6 +254,14 @@ class TestLimitVariance:
                 u=u, lam=lam, R_u=u, r_u=1.0, C_RuU=u * u, C_uu=u * u
             )
             assert_allclose(limit_variance(inputs), u - u * u, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("field", ["u", "lam", "R_u", "r_u", "C_RuU", "C_uu"])
+    @pytest.mark.parametrize("value", ["0.5", None])
+    def test_fields_must_be_numbers(self, field, value):
+        fields = {"u": 0.4, "lam": 1.0, "R_u": 0.7, "r_u": 0.0, "C_RuU": 0.2, "C_uu": 0.3}
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            LimitVarianceInputs(**fields)
 
     def test_frechet_bounds_enforced(self):
         with pytest.raises(ValueError):

@@ -7,13 +7,11 @@ from domtest import (
     Pairing,
     RankProfile,
     TwoSampleData,
-    ecdf_eval,
     empirical_odc,
-    empirical_quantile,
     rank_profile,
 )
 
-from oracles import ecdf_brute, odc_brute
+from oracles import ecdf_brute, ecdf_eval, empirical_quantile, odc_brute
 
 
 def _random_data(rng, max_n=60):

@@ -16,15 +16,18 @@ from domtest import (
     Pairing,
     ScenarioSpec,
     StatKind,
-    gaussian_copula_pair,
     generate_dataset,
-    normal_cdf,
-    normal_quantile,
     odc_family_eval,
     rejection_rate,
 )
 
-from oracles import normal_cdf_ref, normal_quantile_ref
+from oracles import (
+    gaussian_copula_pair,
+    normal_cdf,
+    normal_cdf_ref,
+    normal_quantile,
+    normal_quantile_ref,
+)
 
 
 def _spec(family, n1=30, n2=30, pairing=Pairing.INDEPENDENT, rho=0.0, mc_reps=10, **boot):
@@ -97,6 +100,11 @@ class TestFamilyEval:
         assert odc_family_eval(family, 0.3) == 1.0
 
 
+    @pytest.mark.parametrize("gamma", ["0.5", None, True])
+    def test_gamma_must_be_a_number(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be a real number"):
+            OdcFamily(kind=FamilyKind.POWER_NULL, gamma=gamma)
+
     def test_family_kind_must_be_a_member(self):
         # a string kind would fall through to the partial-null curve
         with pytest.raises(ValueError, match="invalid family kind"):
@@ -108,6 +116,15 @@ class TestGaussianCopula:
         # a string kind would give matched specs independent pairs
         with pytest.raises(ValueError, match="invalid copula kind"):
             CopulaSpec(kind="gaussian", rho=0.9)
+
+    @pytest.mark.parametrize(
+        "kind, rho",
+        [(CopulaKind.GAUSSIAN, "0.5"), (CopulaKind.GAUSSIAN, None), (CopulaKind.GAUSSIAN, True),
+         (CopulaKind.PRODUCT, "0.0")],
+    )
+    def test_rho_must_be_a_number(self, kind, rho):
+        with pytest.raises(ValueError, match="rho must be a real number"):
+            CopulaSpec(kind=kind, rho=rho)
 
     @pytest.mark.parametrize("rho", [0.9, -0.5, -0.0, math.nan])
     def test_product_copula_takes_no_rho(self, rho):

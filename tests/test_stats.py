@@ -7,14 +7,13 @@ from domtest import (
     OdcCurve,
     StatKind,
     TwoSampleData,
-    effective_size,
     empirical_odc,
     ks_statistic,
     odc_area_functional,
     wmw_statistic,
 )
 
-from oracles import area_excess_brute, quadrature_area
+from oracles import area_excess_brute, effective_size, quadrature_area
 
 
 def _random_curve(rng, max_n=60):
