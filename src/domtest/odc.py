@@ -35,7 +35,7 @@ def _as_sample(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, copy=True).reshape(-1)
     if arr.size == 0:
         raise ValueError(f"{name} must contain at least one observation")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or infinite values")
     arr.setflags(write=False)
     return arr
@@ -49,9 +49,14 @@ def _check_int(name: str, value, least: int) -> None:
 
 
 def _check_real(name: str, value) -> None:
-    """Reject anything but a real number (numpy integers and floats included, bool not)."""
+    """Reject anything but a real number (numpy integers and floats included, bool
+    not) that converts to a float: an int past the float range does not."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a real number within the float range") from None
 
 
 def _check_member(name: str, value, kind: type) -> None:

@@ -317,6 +317,13 @@ class TestBootstrapConfig:
         with pytest.raises(ValueError, match=f"{field} must be a real number"):
             BootstrapConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["alpha", "tau", "eta"])
+    @pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024])
+    def test_float_fields_must_fit_a_float(self, field, value):
+        # the int passes the type check, and float() of it overflows
+        with pytest.raises(ValueError, match=f"{field} must be a real number within the float"):
+            BootstrapConfig(**{field: value})
+
 
 class TestRunTest:
     def test_dominated_sample_never_rejects(self):

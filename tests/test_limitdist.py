@@ -263,6 +263,14 @@ class TestLimitVariance:
         with pytest.raises(ValueError, match=f"{field} must be a real number"):
             LimitVarianceInputs(**fields)
 
+    @pytest.mark.parametrize("field", ["u", "lam", "R_u", "r_u", "C_RuU", "C_uu"])
+    def test_fields_must_fit_a_float(self, field):
+        # r_u = 10**400 passed every range check, and limit_variance overflowed
+        fields = {"u": 0.4, "lam": 1.0, "R_u": 0.7, "r_u": 0.0, "C_RuU": 0.2, "C_uu": 0.3}
+        fields[field] = 10**400
+        with pytest.raises(ValueError, match=f"{field} must be a real number within the float"):
+            LimitVarianceInputs(**fields)
+
     def test_frechet_bounds_enforced(self):
         with pytest.raises(ValueError):
             LimitVarianceInputs(u=0.3, lam=0.5, R_u=0.3, r_u=1.0, C_RuU=0.4, C_uu=0.09)

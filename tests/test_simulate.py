@@ -105,6 +105,12 @@ class TestFamilyEval:
         with pytest.raises(ValueError, match="gamma must be a real number"):
             OdcFamily(kind=FamilyKind.POWER_NULL, gamma=gamma)
 
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    @pytest.mark.parametrize("gamma", [10**400, -(10**400)])
+    def test_gamma_must_fit_a_float(self, kind, gamma):
+        with pytest.raises(ValueError, match="gamma must be a real number within the float"):
+            OdcFamily(kind=kind, gamma=gamma)
+
     def test_family_kind_must_be_a_member(self):
         # a string kind would fall through to the partial-null curve
         with pytest.raises(ValueError, match="invalid family kind"):
@@ -124,6 +130,13 @@ class TestGaussianCopula:
     )
     def test_rho_must_be_a_number(self, kind, rho):
         with pytest.raises(ValueError, match="rho must be a real number"):
+            CopulaSpec(kind=kind, rho=rho)
+
+    @pytest.mark.parametrize("kind", list(CopulaKind))
+    @pytest.mark.parametrize("rho", [10**400, -(10**400)])
+    def test_rho_must_fit_a_float(self, kind, rho):
+        # the product copula's repr(float(rho)) check raised OverflowError
+        with pytest.raises(ValueError, match="rho must be a real number within the float"):
             CopulaSpec(kind=kind, rho=rho)
 
     @pytest.mark.parametrize("rho", [0.9, -0.5, -0.0, math.nan])
