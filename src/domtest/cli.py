@@ -1,7 +1,8 @@
 """Command-line interface: CSV ingestion, report serialization, subcommands.
 
-Exit codes: 0 success, 2 usage error, 3 data error. The decision itself is
-never encoded in the exit code; it lives in the emitted report.
+Exit codes: 0 success, 2 usage error, 3 data error, an input too large to
+allocate included. The decision itself is never encoded in the exit code; it
+lives in the emitted report.
 """
 
 from __future__ import annotations
@@ -63,11 +64,11 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _float_cell(text: str, line_no: int, column: str) -> float:
+def _float_cell(text: str, line_no: int, what: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ValueError(f"line {line_no}: cannot parse {column} value {text!r}") from None
+        raise ValueError(f"line {line_no}: cannot parse {what} {text!r}") from None
 
 
 def parse_csv(source, paired: bool = False) -> TwoSampleData:
@@ -94,8 +95,8 @@ def parse_csv(source, paired: bool = False) -> TwoSampleData:
         if len(row) != 2 or not all(row):
             raise ValueError(f"line {line_no}: expected two cells {layout}")
         if paired:
-            x1.append(_float_cell(row[0], line_no, "x1"))
-            x2.append(_float_cell(row[1], line_no, "x2"))
+            x1.append(_float_cell(row[0], line_no, "x1 value"))
+            x2.append(_float_cell(row[1], line_no, "x2 value"))
         else:
             group = row[0]
             if group not in ("1", "2"):
@@ -313,7 +314,7 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     return 0

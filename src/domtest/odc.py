@@ -50,11 +50,13 @@ def _check_int(name: str, value, least: int) -> None:
 
 def _check_real(name: str, value) -> None:
     """Reject anything but a real number (numpy integers and floats included, bool
-    not) that converts to a float: an int past the float range does not."""
+    not) that converts to a float: an int past the float range does not, and a
+    finite long double past it would become an infinite float."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        float(value)
+        if np.isinf(float(value)) and not np.isinf(value):
+            raise OverflowError
     except OverflowError:
         raise ValueError(f"{name} must be a real number within the float range") from None
 

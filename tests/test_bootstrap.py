@@ -324,6 +324,14 @@ class TestBootstrapConfig:
         with pytest.raises(ValueError, match=f"{field} must be a real number within the float"):
             BootstrapConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["alpha", "tau", "eta"])
+    def test_float_fields_reject_a_long_double_past_the_float_range(
+        self, field, long_double_past_float
+    ):
+        # float() turns it into an infinite float, so tau read as the standard bootstrap
+        with pytest.raises(ValueError, match=f"{field} must be a real number within the float"):
+            BootstrapConfig(**{field: long_double_past_float})
+
 
 class TestRunTest:
     def test_dominated_sample_never_rejects(self):

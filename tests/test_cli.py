@@ -42,8 +42,12 @@ class TestParseCsv:
             parse_csv(io.StringIO("group,value\n3,0.5\n"), paired=False)
 
     def test_unparseable_value_reports_line(self):
-        with pytest.raises(ValueError, match="line 3"):
+        with pytest.raises(ValueError, match="^line 3: cannot parse value 'oops'$"):
             parse_csv(io.StringIO("group,value\n1,0.5\n2,oops\n"), paired=False)
+
+    def test_unparseable_pair_names_its_column(self):
+        with pytest.raises(ValueError, match="^line 2: cannot parse x2 value 'oops'$"):
+            parse_csv(io.StringIO("x1,x2\n1,oops\n"), paired=True)
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
@@ -266,6 +270,19 @@ class TestMain:
         assert main(argv + ["--paired", "--rho", "0"]) == 0
         assert capsys.readouterr().out == alone
 
+    # 10**16 float64 values are 80 PB, past any 47-bit address space, so the
+    # allocation fails at once even where memory is overcommitted
+    @pytest.mark.parametrize(
+        "argv", [["test", "--boot", str(10**16)], ["null-quantiles", "--grid", str(10**16)]]
+    )
+    def test_input_too_large_to_allocate_exits_3(self, tmp_path, capsys, argv):
+        if argv[0] == "test":
+            argv = argv + ["--input", _write(tmp_path, "d.csv", "group,value\n1,1\n2,2\n")]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_null_quantiles_negative_seed_exits_2(self, capsys):
         argv = ["null-quantiles", "--paths", "10", "--grid", "10", "--seed", "-1"]
         assert main(argv) == 2
@@ -296,10 +313,11 @@ def _python(code):
 
 def test_cli_import_leaves_scipy_unloaded():
     # `domtest test` and `null-quantiles` never need scipy; only the
-    # simulation code imports it, when it runs.
+    # simulation code imports it, when it runs. The thread pools import
+    # concurrent.futures when they first run, too.
     code = (
         "import sys, domtest.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))"
     )
     assert _python(code) == "[]"
 

@@ -118,6 +118,12 @@ class TestBridgeFunctional:
             simulate_bridge_functional(BridgePathConfig(num_paths=3 * 2048, grid_size=10))
         assert threading.active_count() == started
 
+    # one chunk runs on the caller alone; two put the second on the pool's one thread
+    @pytest.mark.parametrize("num_paths, threads", [(2048, []), (4096, ["domtest-bridge_0"])])
+    def test_only_a_run_of_several_chunks_starts_a_thread(self, thread_starts, num_paths, threads):
+        simulate_bridge_functional(BridgePathConfig(num_paths=num_paths, grid_size=10))
+        assert thread_starts == threads
+
     def test_peak_memory_depends_on_grid_not_paths(self):
         def traced_peak_without_output(num_paths, grid_size):
             config = BridgePathConfig(num_paths=num_paths, grid_size=grid_size, seed=0)
@@ -268,6 +274,14 @@ class TestLimitVariance:
         # r_u = 10**400 passed every range check, and limit_variance overflowed
         fields = {"u": 0.4, "lam": 1.0, "R_u": 0.7, "r_u": 0.0, "C_RuU": 0.2, "C_uu": 0.3}
         fields[field] = 10**400
+        with pytest.raises(ValueError, match=f"{field} must be a real number within the float"):
+            LimitVarianceInputs(**fields)
+
+    @pytest.mark.parametrize("field", ["u", "lam", "R_u", "r_u", "C_RuU", "C_uu"])
+    def test_fields_reject_a_long_double_past_the_float_range(self, field, long_double_past_float):
+        # float() turns it into an infinite float instead of raising
+        fields = {"u": 0.4, "lam": 1.0, "R_u": 0.7, "r_u": 0.0, "C_RuU": 0.2, "C_uu": 0.3}
+        fields[field] = long_double_past_float
         with pytest.raises(ValueError, match=f"{field} must be a real number within the float"):
             LimitVarianceInputs(**fields)
 

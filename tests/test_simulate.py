@@ -111,6 +111,11 @@ class TestFamilyEval:
         with pytest.raises(ValueError, match="gamma must be a real number within the float"):
             OdcFamily(kind=kind, gamma=gamma)
 
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_gamma_rejects_a_long_double_past_the_float_range(self, kind, long_double_past_float):
+        with pytest.raises(ValueError, match="gamma must be a real number within the float"):
+            OdcFamily(kind=kind, gamma=long_double_past_float)
+
     def test_family_kind_must_be_a_member(self):
         # a string kind would fall through to the partial-null curve
         with pytest.raises(ValueError, match="invalid family kind"):
@@ -138,6 +143,11 @@ class TestGaussianCopula:
         # the product copula's repr(float(rho)) check raised OverflowError
         with pytest.raises(ValueError, match="rho must be a real number within the float"):
             CopulaSpec(kind=kind, rho=rho)
+
+    @pytest.mark.parametrize("kind", list(CopulaKind))
+    def test_rho_rejects_a_long_double_past_the_float_range(self, kind, long_double_past_float):
+        with pytest.raises(ValueError, match="rho must be a real number within the float"):
+            CopulaSpec(kind=kind, rho=long_double_past_float)
 
     @pytest.mark.parametrize("rho", [0.9, -0.5, -0.0, math.nan])
     def test_product_copula_takes_no_rho(self, rho):
