@@ -13,9 +13,11 @@ bit for bit.
 
 from __future__ import annotations
 
-import collections
+import contextlib
 import functools
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -414,23 +416,40 @@ def _drawn_ahead(stream):
     """Yield the items of the iterator ``stream``, which one helper thread
     advances at most two items ahead of the caller.
 
-    The helper is the one worker of a thread pool, which runs two ``next``
-    calls ahead, in order; so only it advances ``stream``, and an exception it
-    raises is raised at the caller's matching ``next``. Each item passes in a
-    one-item list that the caller empties, so once yielded it is held by the
-    caller alone. The end of ``stream``, an exception, or ``close()`` joins
-    the helper once its pending calls return.
+    Only the helper advances ``stream``, and an exception it raises is raised
+    at the caller's matching ``next``. Each item passes in a one-item list that
+    the caller empties, so once yielded it is held by the caller alone.
+    ``close()``, or the end of ``stream``, stops and joins the helper.
     """
-    from concurrent.futures import ThreadPoolExecutor
+    ready = queue.Queue(maxsize=1)
+    stop = threading.Event()
 
-    def draw():
-        return [next(stream, None)]
+    def produce():
+        try:
+            for item in stream:
+                ready.put([item])
+                del item
+                if stop.is_set():
+                    return
+            ready.put(None)
+        except BaseException as exc:  # raised by the caller's next
+            ready.put(exc)
 
-    with ThreadPoolExecutor(1, thread_name_prefix="domtest-draws") as helper:
-        ahead = collections.deque(helper.submit(draw) for _ in range(2))
-        while (box := ahead.popleft().result())[0] is not None:
-            ahead.append(helper.submit(draw))
+    helper = threading.Thread(target=produce, name="domtest-draws", daemon=True)
+    helper.start()
+    try:
+        while (box := ready.get()) is not None:
+            if isinstance(box, BaseException):
+                raise box
             yield box.pop()
+    finally:
+        stop.set()
+        # Emptying the queue frees a blocked put; the helper makes at most one
+        # more put after ``stop`` is set, into the emptied queue, and returns.
+        with contextlib.suppress(queue.Empty):
+            while True:
+                ready.get_nowait()
+        helper.join()
 
 
 def _bootstrap_draws(

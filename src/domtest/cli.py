@@ -1,8 +1,8 @@
 """Command-line interface: CSV ingestion, report serialization, subcommands.
 
-Exit codes: 0 success, 2 usage error, 3 data error, an input too large to
-allocate included. The decision itself is never encoded in the exit code; it
-lives in the emitted report.
+Exit codes: 0 success, 2 usage error, 3 data error or out of memory (an input
+too large to allocate, say). The decision itself is never encoded in the exit
+code; it lives in the emitted report.
 """
 
 from __future__ import annotations
@@ -64,10 +64,11 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _float_cell(text: str, line_no: int, what: str) -> float:
+def _float_cell(text: str, line_no: int, column: str = "") -> float:
     try:
         return float(text)
     except ValueError:
+        what = f"{column} value".lstrip()
         raise ValueError(f"line {line_no}: cannot parse {what} {text!r}") from None
 
 
@@ -95,13 +96,13 @@ def parse_csv(source, paired: bool = False) -> TwoSampleData:
         if len(row) != 2 or not all(row):
             raise ValueError(f"line {line_no}: expected two cells {layout}")
         if paired:
-            x1.append(_float_cell(row[0], line_no, "x1 value"))
-            x2.append(_float_cell(row[1], line_no, "x2 value"))
+            x1.append(_float_cell(row[0], line_no, "x1"))
+            x2.append(_float_cell(row[1], line_no, "x2"))
         else:
             group = row[0]
             if group not in ("1", "2"):
                 raise ValueError(f"line {line_no}: group must be 1 or 2, got {group!r}")
-            value = _float_cell(row[1], line_no, "value")
+            value = _float_cell(row[1], line_no)
             (x1 if group == "1" else x2).append(value)
     if not x1 or not x2:
         raise ValueError("each sample needs at least one observation")
@@ -314,8 +315,12 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 3
+    except MemoryError as exc:  # numpy names the size it could not allocate; a bare one is empty
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"error: out of memory{detail}\n")
         return 3
     return 0
 

@@ -8,13 +8,13 @@ the general limit process for a given weight, curve slope, and copula.
 
 The simulation works in place on row blocks of about 2**16 grid elements, so its
 memory grows with the grid, not the path count. Chunks of 2048 paths, one child
-seed each, run on the calling thread and a thread pool, ``_THREADS`` workers in all;
-no sample depends on block or thread count.
+seed each, run on ``_THREADS`` threads; no sample depends on block or thread count.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -100,33 +100,37 @@ def simulate_bridge_functional(config: BridgePathConfig) -> np.ndarray:
     generated in fixed-size chunks with independently derived child seeds, and
     worker k of ``_THREADS`` (the caller is worker 0) fills chunks k, k + T, ...
     with its own row buffers, so the values do not depend on the thread count.
-    Workers 1 to T - 1 run on a thread pool, and an error in any worker is
-    raised in the caller once every worker has finished.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     g, n = config.grid_size, config.num_paths
     block = min(_CHUNK_PATHS, n, max(1, _BLOCK_ELEMENTS // _THREADS // g))
     ramp = np.arange(1, g + 1) / g
     seeds = np.random.SeedSequence(config.seed).spawn((n + _CHUNK_PATHS - 1) // _CHUNK_PATHS)
-    out = np.empty(n, dtype=np.float64)
+    out, errors = np.empty(n, dtype=np.float64), []
 
     def work(first: int) -> None:
-        buf, tmp = np.empty((block, g)), np.empty((block, g))
-        for c in range(first, len(seeds), _THREADS):
-            rng, end = np.random.default_rng(seeds[c]), min(n, (c + 1) * _CHUNK_PATHS)
-            for lo in range(c * _CHUNK_PATHS, end, block):
-                walk = buf[: min(block, end - lo)]
-                _pinned_walk(rng, walk, tmp[: len(walk)], ramp)
-                np.maximum(walk, 0.0, out=walk)
-                out[lo : lo + len(walk)] = walk.sum(axis=1) / g
+        try:
+            buf, tmp = np.empty((block, g)), np.empty((block, g))
+            for c in range(first, len(seeds), _THREADS):
+                rng, end = np.random.default_rng(seeds[c]), min(n, (c + 1) * _CHUNK_PATHS)
+                for lo in range(c * _CHUNK_PATHS, end, block):
+                    walk = buf[: min(block, end - lo)]
+                    _pinned_walk(rng, walk, tmp[: len(walk)], ramp)
+                    np.maximum(walk, 0.0, out=walk)
+                    out[lo : lo + len(walk)] = walk.sum(axis=1) / g
+        except BaseException as exc:  # re-raised below: a chunk left unfilled must not pass
+            errors.append(exc)
 
-    # The pool starts its threads on submit, so a run of one chunk starts none.
-    with ThreadPoolExecutor(_THREADS, thread_name_prefix="domtest-bridge") as pool:
-        others = [pool.submit(work, k) for k in range(1, min(_THREADS, len(seeds)))]
-        work(0)
-        for other in others:
-            other.result()  # a chunk left unfilled must not pass
+    threads = [
+        threading.Thread(target=work, args=[k], name="domtest-bridge")
+        for k in range(1, min(_THREADS, len(seeds)))
+    ]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 

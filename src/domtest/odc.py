@@ -55,7 +55,7 @@ def _check_real(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        if np.isinf(float(value)) and not np.isinf(value):
+        if abs(float(value)) == np.inf and not np.isinf(value):
             raise OverflowError
     except OverflowError:
         raise ValueError(f"{name} must be a real number within the float range") from None

@@ -281,7 +281,15 @@ class TestMain:
         assert main(argv) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+    def test_bare_memory_error_still_says_what_happened(self, monkeypatch, capsys):
+        def exhausted(config):
+            raise MemoryError
+
+        monkeypatch.setattr("domtest.cli.simulate_bridge_functional", exhausted)
+        assert main(["null-quantiles", "--paths", "10", "--grid", "10"]) == 3
+        assert capsys.readouterr() == ("", "error: out of memory\n")
 
     def test_null_quantiles_negative_seed_exits_2(self, capsys):
         argv = ["null-quantiles", "--paths", "10", "--grid", "10", "--seed", "-1"]
@@ -313,13 +321,39 @@ def _python(code):
 
 def test_cli_import_leaves_scipy_unloaded():
     # `domtest test` and `null-quantiles` never need scipy; only the
-    # simulation code imports it, when it runs. The thread pools import
-    # concurrent.futures when they first run, too.
+    # simulation code imports it, when it runs. Nor does the CLI load
+    # concurrent.futures, which would add to every command's start-up.
     code = (
         "import sys, domtest.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))"
     )
     assert _python(code) == "[]"
+
+
+def test_a_thread_that_outlives_the_main_thread_gets_the_same_reports(tmp_path, capsys):
+    # Once the main thread returns, interpreter shutdown has begun, yet a
+    # non-daemon thread still runs: there the bootstrap's draw helper (100 + 100
+    # rows at B = 999 take several sub-chunks) and the bridge's second thread
+    # (4096 paths are two chunks) must still start and give the same reports.
+    rows = "".join(f"{1 + i % 2},{(i * 37) % 101 / 7}\n" for i in range(200))
+    commands = [
+        ["test", "--input", _write(tmp_path, "d.csv", "group,value\n" + rows), "--boot", "999"],
+        ["null-quantiles", "--paths", "4096", "--grid", "50"],
+    ]
+    expected = []
+    for argv in commands:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+    code = (
+        "import threading\n"
+        "from domtest.cli import main\n"
+        "def late():\n"
+        "    threading.main_thread().join()\n"
+        f"    for argv in {commands!r}:\n"
+        "        assert main(argv) == 0\n"
+        "threading.Thread(target=late).start()\n"
+    )
+    assert _python(code) == "".join(expected).strip()
 
 
 def test_each_public_name_declared_once():

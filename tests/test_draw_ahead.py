@@ -123,7 +123,7 @@ def test_only_a_call_of_several_sub_chunks_starts_a_thread(
     data = _data(100, 100, pairing)
     config = BootstrapConfig(num_reps=num_reps, statistic_kind=kind)
     run_test(data, config)
-    assert thread_starts == ["domtest-draws_0"] * threads
+    assert thread_starts == ["domtest-draws"] * threads
 
 
 @pytest.mark.parametrize("pairing", [Pairing.INDEPENDENT, Pairing.MATCHED])
@@ -178,8 +178,8 @@ class _EngineFailure(Exception):
 @pytest.mark.parametrize("kind, method", [(StatKind.WMW, "wmw_head"), (StatKind.KS, "ks_shared")])
 @pytest.mark.parametrize("fail_at", [1, 2, 7, 40])
 def test_engine_exception_stops_the_helper(monkeypatch, pairing, kind, method, fail_at):
-    # 40 sub-chunks per sample: the helper is drawing ahead, or idle with two
-    # draws ready, when the engine raises on its k-th sub-chunk.
+    # 40 sub-chunks per sample: the helper is drawing ahead, or blocked on a
+    # full queue, when the engine raises on its k-th sub-chunk.
     data = _data(30, 30, pairing)
     monkeypatch.setattr(bootstrap, "_CHUNK_ELEMENTS", 5 * 60)
     calls = []

@@ -118,8 +118,8 @@ class TestBridgeFunctional:
             simulate_bridge_functional(BridgePathConfig(num_paths=3 * 2048, grid_size=10))
         assert threading.active_count() == started
 
-    # one chunk runs on the caller alone; two put the second on the pool's one thread
-    @pytest.mark.parametrize("num_paths, threads", [(2048, []), (4096, ["domtest-bridge_0"])])
+    # one chunk runs on the caller alone; two put the second on one more thread
+    @pytest.mark.parametrize("num_paths, threads", [(2048, []), (4096, ["domtest-bridge"])])
     def test_only_a_run_of_several_chunks_starts_a_thread(self, thread_starts, num_paths, threads):
         simulate_bridge_functional(BridgePathConfig(num_paths=num_paths, grid_size=10))
         assert thread_starts == threads
