@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .odc import (
-    OdcCurve, Pairing, RankProfile, TwoSampleData, _check_int, _check_real, empirical_odc,
-    rank_profile,
+    OdcCurve, Pairing, RankProfile, TwoSampleData, _check_int, _check_real, _pair_counts,
 )
-from .stats import StatKind, _sqrt_tn, ks_statistic, wmw_statistic
+from .stats import StatKind, _sqrt_tn, _wmw_value, ks_statistic
 
 __all__ = [
     "BootstrapWeights",
@@ -82,7 +81,6 @@ class VarianceProfile:
     """Estimated variances of the normalized ODC at each grid point."""
 
     v: np.ndarray
-    mode: Pairing
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=np.float64)
@@ -200,7 +198,8 @@ def bootstrap_odc(data: TwoSampleData, weights: BootstrapWeights) -> OdcCurve:
     if weights.w1.size != data.n1 or weights.w2.size != data.n2:
         raise ValueError("weight lengths do not match the sample sizes")
     c1, c2 = _categories(weights.w1[None]), _categories(weights.w2[None])
-    counts = _Prepared(data).odc_counts(c1, c2)[0]
+    prep = _Prepared(data)
+    counts = prep.odc_tail(prep.wmw_head(prep.g1[c1]), prep.rank2[c2])[0]
     return OdcCurve(values=counts / data.n1, n1=data.n1, n2=data.n2)
 
 
@@ -229,17 +228,18 @@ def bootstrap_statistic_modified(
         raise ValueError(f"tau must be positive (inf allowed), got {tau}")
     if v.v.size != odc.n2:
         raise ValueError("variance profile does not match the grid")
-    return _recentered_statistic(odc_star, odc, _kept_columns(odc.counts, odc.n1, lambda: v, tau))
+    return _recentered_statistic(odc_star, odc, _kept_columns(odc.counts, odc.n1, lambda: v.v, tau))
 
 
-def _kept_columns(counts: np.ndarray, n1: int, profile, tau: float) -> np.ndarray | None:
+def _kept_columns(counts: np.ndarray, n1: int, variances, tau: float) -> np.ndarray | None:
     """Grid columns kept by the screen of ``bootstrap_statistic_modified``, None
-    for all; ``profile()`` gives the ``VarianceProfile``, read only for finite tau."""
+    for all; ``variances()`` gives the variance array, called only for finite
+    tau, so ``tau = inf`` builds none and never meets ``-inf * sqrt(0) = nan``."""
     if math.isinf(tau):
         return None
     n2 = counts.size
     grid = np.arange(1, n2 + 1, dtype=np.float64) / n2
-    return np.flatnonzero(_sqrt_tn(n1, n2) * (counts / n1 - grid) >= -tau * np.sqrt(profile().v))
+    return np.flatnonzero(_sqrt_tn(n1, n2) * (counts / n1 - grid) >= -tau * np.sqrt(variances()))
 
 
 def _wmw_sums(excess: np.ndarray, keep: np.ndarray | None, n1: int, n2: int) -> np.ndarray:
@@ -251,12 +251,24 @@ def _wmw_sums(excess: np.ndarray, keep: np.ndarray | None, n1: int, n2: int) -> 
     return excess.sum(axis=1, dtype=np.int64) * (_sqrt_tn(n1, n2) / (n1 * n2))
 
 
+def _copula_diag(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``empirical_copula_diag`` of the rank numerators ``u`` and ``v``."""
+    return np.cumsum(np.bincount(np.maximum(u, v), minlength=u.size + 1))[1:] / u.size
+
+
 def empirical_copula_diag(ranks: RankProfile) -> np.ndarray:
     """Empirical copula on the diagonal: entry ``i-1`` counts pairs whose
     normalized ranks both sit at or below ``i/n``, divided by ``n``."""
-    n = ranks.n
-    hist = np.bincount(np.maximum(ranks.u_counts, ranks.v_counts), minlength=n + 1)
-    return np.cumsum(hist)[1:] / n
+    return _copula_diag(ranks.u_counts, ranks.v_counts)
+
+
+def _variances(data: TwoSampleData) -> np.ndarray:
+    """``variance_profile(data).v``, straight from the rank cache."""
+    n2 = data.n2
+    i = np.arange(1, n2 + 1, dtype=np.float64)
+    if data.pairing is Pairing.MATCHED:
+        return np.maximum(i / n2 - _copula_diag(*_pair_counts(data)), 0.0)
+    return np.maximum(i / n2 - i**2 / n2**2, 0.0)
 
 
 def variance_profile(data: TwoSampleData) -> VarianceProfile:
@@ -266,14 +278,7 @@ def variance_profile(data: TwoSampleData) -> VarianceProfile:
     pairs replace the product term with the empirical copula diagonal, which
     keeps the estimate rank-based.
     """
-    n2 = data.n2
-    i = np.arange(1, n2 + 1, dtype=np.float64)
-    if data.pairing is Pairing.MATCHED:
-        diag = empirical_copula_diag(rank_profile(data))
-        v = i / n2 - diag
-    else:
-        v = i / n2 - i**2 / n2**2
-    return VarianceProfile(v=np.maximum(v, 0.0), mode=data.pairing)
+    return VarianceProfile(v=_variances(data))
 
 
 def critical_value(draws, alpha: float) -> float:
@@ -302,6 +307,8 @@ class _Prepared:
     matched pairs share or from a row's x1 weights joined to its x2 weights.
     The fields that only one statistic reads are built on first use, so WMW
     draws never build the KS state and KS draws never build the WMW state.
+    All of it reads the rank cache, as do ``run_test``'s observed statistic and
+    screen, through ``_wmw_value`` and ``_variances``, with no value object.
     """
 
     def __init__(self, data: TwoSampleData):
@@ -359,10 +366,6 @@ class _Prepared:
         ends = np.flatnonzero(groups) - 1 if groups.max() > 1 else None
         return src, coef, base, ends
 
-    def keep_columns(self, tau: float) -> np.ndarray | None:
-        """Grid columns retained by the contact-set screen, None for all."""
-        return _kept_columns(self.m, self.n1, lambda: variance_profile(self.data), tau)
-
     def wmw_head(self, hits: np.ndarray, out=None) -> np.ndarray:
         """h[r, k] counts the resampled x1 of row r at or below sorted x2
         number k, from the hits ``g1[c1]`` of its category draws ``c1``
@@ -382,11 +385,6 @@ class _Prepared:
         # mode="clip" lets ``take`` write into ``out`` without buffering a
         # copy; every index is in range.
         return np.take(head.ravel(), ranks, out=out, mode="clip")
-
-    def odc_counts(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        """Bootstrap ODC numerators from category draws (row r resamples
-        ``x1[c1[r]]`` and ``x2[c2[r]]``), one int32 row per row of draws."""
-        return self.odc_tail(self.wmw_head(self.g1[c1]), self.rank2[c2])
 
     def wmw_tail(
         self, head: np.ndarray, ranks: np.ndarray, keep: np.ndarray | None, out=None
@@ -492,7 +490,7 @@ def _bootstrap_draws(
     # the next sub-chunk faults in again. Both statistics reuse their per-chunk
     # buffers for the whole call.
     if config.statistic_kind is StatKind.WMW:
-        keep = prep.keep_columns(config.tau)
+        keep = _kept_columns(prep.m, n1, lambda: _variances(data), config.tau)
         head = np.empty((batch, n2 + 1), dtype=np.int32)
         hits = np.empty((chunk, n1), dtype=np.int64)
         ranks = np.empty((chunk, n2), dtype=np.int32)
@@ -582,7 +580,7 @@ def run_test(
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     prep = _Prepared(data)
     if config.statistic_kind is StatKind.WMW:
-        stat = wmw_statistic(empirical_odc(data)).value
+        stat = _wmw_value(prep.cnt1[prep.n1 :], prep.n1, prep.n2)
     else:
         stat = ks_statistic(data).value
     draws = _bootstrap_draws(prep, config, rng)

@@ -104,8 +104,8 @@ def simulate_bridge_functional(config: BridgePathConfig) -> np.ndarray:
     g, n = config.grid_size, config.num_paths
     block = min(_CHUNK_PATHS, n, max(1, _BLOCK_ELEMENTS // _THREADS // g))
     ramp = np.arange(1, g + 1) / g
+    out, errors = np.empty(n, dtype=np.float64), []  # first: a count too large fails at once
     seeds = np.random.SeedSequence(config.seed).spawn((n + _CHUNK_PATHS - 1) // _CHUNK_PATHS)
-    out, errors = np.empty(n, dtype=np.float64), []
 
     def work(first: int) -> None:
         try:

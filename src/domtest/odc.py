@@ -193,10 +193,6 @@ class RankProfile:
             object.__setattr__(self, f"{name}_ranks", ranks)
             object.__setattr__(self, f"{name}_counts", counts)
 
-    @property
-    def n(self) -> int:
-        return self.u_ranks.size
-
 
 def _quantile_rank(n: int, level: float) -> int:
     """Smallest k in [1, n] with ``k/n >= level``, compared on the float grid
@@ -224,9 +220,13 @@ def rank_profile(data: TwoSampleData) -> RankProfile:
     """
     if data.pairing is not Pairing.MATCHED:
         raise ValueError("rank_profile requires matched pairs")
-    n = data.n1
+    u, v = _pair_counts(data)
+    return RankProfile(u_ranks=u / data.n1, v_ranks=v / data.n1)
+
+
+def _pair_counts(data: TwoSampleData) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 numerators of ``rank_profile``'s ranks, in pair order."""
     perm1, perm2, cnt1, cnt2 = data._ranks
-    u, v = np.empty(n), np.empty(n)
-    u[perm1] = cnt1[:n] / n
-    v[perm2] = cnt2[n:] / n
-    return RankProfile(u_ranks=u, v_ranks=v)
+    u, v = np.empty_like(cnt1[: data.n1]), np.empty_like(cnt2[data.n1 :])
+    u[perm1], v[perm2] = cnt1[: data.n1], cnt2[data.n1 :]
+    return u, v

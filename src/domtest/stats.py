@@ -45,6 +45,14 @@ def _sqrt_tn(n1: int, n2: int) -> float:
     return math.sqrt(n1 * n2 / (n1 + n2))
 
 
+def _wmw_value(counts: np.ndarray, n1: int, n2: int) -> float:
+    """``wmw_statistic`` of int64 ODC numerators (int32 ``counts * n2`` can wrap)."""
+    i = np.arange(1, n2 + 1, dtype=np.int64)
+    pos = counts * n2 > i * n1
+    excess = n2 * int(counts[pos].sum()) - n1 * int(i[pos].sum())
+    return _sqrt_tn(n1, n2) * (excess / (n1 * n2 * n2))
+
+
 def wmw_statistic(odc: OdcCurve) -> StatisticValue:
     """One-sided WMW statistic of an empirical ODC.
 
@@ -53,13 +61,7 @@ def wmw_statistic(odc: OdcCurve) -> StatisticValue:
     rounded float of a rational number. The total passes int64 once ``n1*n2**2``
     nears ``2**63``, so it is formed in Python ints from int64 partial sums.
     """
-    n1, n2 = odc.n1, odc.n2
-    m = odc.counts
-    i = np.arange(1, n2 + 1, dtype=np.int64)
-    pos = m * n2 > i * n1
-    excess = n2 * int(m[pos].sum()) - n1 * int(i[pos].sum())
-    value = _sqrt_tn(n1, n2) * (excess / (n1 * n2 * n2))
-    return StatisticValue(value=value, kind=StatKind.WMW)
+    return StatisticValue(value=_wmw_value(odc.counts, odc.n1, odc.n2), kind=StatKind.WMW)
 
 
 def odc_area_functional(odc: OdcCurve) -> StatisticValue:

@@ -23,7 +23,9 @@ from domtest import (
     run_test,
     variance_profile,
 )
-from domtest.bootstrap import _Prepared, _bootstrap_draws, _counts, _multinomial_rows
+from domtest.bootstrap import (
+    _Prepared, _bootstrap_draws, _counts, _kept_columns, _multinomial_rows, _variances,
+)
 from domtest.cli import emit_report
 
 from oracles import (
@@ -398,7 +400,7 @@ class TestRunTest:
         data = TwoSampleData(x1=[1.0, 2.0, 5.0], x2=[0.5, 3.0, 4.0], pairing=pairing)
         config = BootstrapConfig(tau=math.inf, num_reps=19)
         expected = run_test(data, config)
-        monkeypatch.setattr("domtest.bootstrap.variance_profile", fail)
+        monkeypatch.setattr("domtest.bootstrap._variances", fail)
         assert run_test(data, config) == expected
 
     def test_reject_consistent_with_fields(self):
@@ -503,7 +505,8 @@ class TestBatchEngine:
             else:
                 w2 = _multinomial_rows(np.random.default_rng(78), data.n2, 64)
             for tau in (math.inf, 0.75):
-                draws = wmw_draws(prep, w1, w2, prep.keep_columns(tau))
+                keep = _kept_columns(prep.m, prep.n1, lambda: _variances(data), tau)
+                draws = wmw_draws(prep, w1, w2, keep)
                 base = empirical_odc(data)
                 v = variance_profile(data)
                 expected = []

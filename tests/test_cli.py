@@ -309,14 +309,32 @@ class TestMain:
         assert "usage error" in capsys.readouterr().err
 
 
-def _python(code):
-    """stdout of ``code`` run in a fresh interpreter that imports this domtest."""
+def _fresh(args, **kwargs):
+    """``python args`` in a fresh interpreter that imports this domtest."""
     src = os.path.dirname(os.path.dirname(domtest.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    return out.stdout.strip()
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, **kwargs)
+
+
+def _python(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this domtest."""
+    return _fresh(["-c", code], check=True).stdout.strip()
+
+
+def test_too_many_null_quantile_paths_exit_3_at_once():
+    # 10**16 paths need 80 PB of output, which cannot be allocated, and 4.9e12
+    # child seeds, which would fill memory one by one if they came first. The
+    # address-space limit bounds the process should they come first again.
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    argv = ["-m", "domtest.cli", "null-quantiles", "--paths", str(10**16)]
+    out = _fresh(argv, timeout=10, preexec_fn=limit)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: out of memory") and "Traceback" not in out.stderr
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from domtest import BootstrapConfig, Pairing, StatKind, TwoSampleData, run_test
-from domtest.bootstrap import _bootstrap_draws, _categories, _counts, _Prepared
+from domtest.bootstrap import (
+    _bootstrap_draws, _categories, _counts, _kept_columns, _Prepared, _variances,
+)
 
 from oracles import ks_draws, odc_counts_reference, wmw_draws, wmw_draws_reference
 
@@ -70,10 +72,10 @@ def _draw_case(draw):
 def test_draw_indexed_rows_equal_count_reference(case, tau):
     data, c1, c2 = case
     prep = _Prepared(data)
-    keep = prep.keep_columns(tau)
+    keep = _kept_columns(prep.m, prep.n1, lambda: _variances(data), tau)
     w1, w2 = _row_counts(c1, data.n1), _row_counts(c2, data.n2)
     want_odc, _ = odc_counts_reference(data.x1, data.x2, w1, w2)
-    assert_array_equal(prep.odc_counts(c1, c2), want_odc)
+    assert_array_equal(prep.odc_tail(prep.wmw_head(prep.g1[c1]), prep.rank2[c2]), want_odc)
     want = wmw_draws_reference(data.x1, data.x2, w1, w2, keep)
     assert_array_equal(wmw_draws(prep, w1, w2, keep), want)
 
@@ -121,7 +123,8 @@ def test_engine_replays_the_draw_schedule(monkeypatch, pairing, kind):
         c2 = c1 if pairing is Pairing.MATCHED else replay.integers(0, n2, size=(rows, n2))
         w1, w2 = _row_counts(c1, n1), _row_counts(c2, n2)
         if kind is StatKind.WMW:
-            want.append(wmw_draws_reference(data.x1, data.x2, w1, w2, prep.keep_columns(0.75)))
+            keep = _kept_columns(prep.m, n1, lambda: _variances(data), 0.75)
+            want.append(wmw_draws_reference(data.x1, data.x2, w1, w2, keep))
         else:
             want.append(ks_draws(prep, w1, w2))
     assert_array_equal(got, np.concatenate(want))
@@ -188,7 +191,7 @@ def test_prepared_builds_only_what_its_statistic_reads():
     data = TwoSampleData(x1=[0.5, 2.0, 1.0], x2=[1.0, 3.0])
     c1, c2 = np.array([[0, 0, 2]]), np.array([[1, 0]])
     wmw = _Prepared(data)
-    wmw.odc_counts(c1, c2)
+    wmw.odc_tail(wmw.wmw_head(wmw.g1[c1]), wmw.rank2[c2])
     ks = _Prepared(data)
     ks_draws(ks, _counts(c1), _counts(c2))
     assert {"g1", "rank2"} <= vars(wmw).keys()

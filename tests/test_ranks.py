@@ -4,17 +4,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from domtest import (
     BootstrapConfig,
     Pairing,
+    OdcCurve,
+    RankProfile,
     StatKind,
     TwoSampleData,
+    VarianceProfile,
     bootstrap_odc,
     draw_weights,
+    empirical_copula_diag,
     empirical_odc,
     ks_statistic,
     rank_profile,
@@ -22,7 +26,9 @@ from domtest import (
     variance_profile,
     wmw_statistic,
 )
-from domtest.bootstrap import _Prepared
+from domtest.bootstrap import _copula_diag, _kept_columns, _Prepared, _variances
+from domtest.odc import _pair_counts
+from domtest.stats import _wmw_value
 
 from oracles import ecdf_brute, ks_excess_brute, odc_brute
 
@@ -101,3 +107,83 @@ def test_cached_arrays_reject_writes():
     for arr in (*data._ranks, prep.perm1, prep.perm2, prep.cnt1, prep.cnt2):
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+# ``run_test`` reads its observed statistic and its screen from the rank cache
+# through private integer helpers; the public functions wrap the same helpers.
+_SINGLE = [
+    TwoSampleData(x1=[1.0], x2=[1.0], pairing=Pairing.MATCHED),
+    TwoSampleData(x1=[2.0], x2=[0.0, 2.0, 2.0, 3.0]),
+]
+
+
+def _exact_wmw(counts, n1, n2):
+    excess = sum(max(int(k) * n2 - i * n1, 0) for i, k in enumerate(counts, 1))
+    return math.sqrt(n1 * n2 / (n1 + n2)) * (excess / (n1 * n2 * n2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_data())
+@example(_SINGLE[0])
+@example(_SINGLE[1])
+def test_observed_wmw_from_the_rank_cache_equals_wmw_statistic(data):
+    counts = data._ranks[2][data.n1 :]
+    assert counts.dtype == np.int64
+    got = _wmw_value(counts, data.n1, data.n2)
+    assert got.hex() == wmw_statistic(empirical_odc(data)).value.hex()
+
+
+def test_observed_wmw_takes_int64_counts_past_int32_products():
+    # n1*n2 = 2**32: each ``m * n2`` wraps in int32, never in int64
+    n1, n2 = 2**20, 2**12
+    rng = np.random.default_rng(83)
+    counts = np.sort(rng.integers(0, n1 + 1, n2))
+    curve = OdcCurve(values=counts / n1, n1=n1, n2=n2)
+    want = _exact_wmw(counts, n1, n2)
+    assert _wmw_value(curve.counts, n1, n2) == want == wmw_statistic(curve).value
+    data = TwoSampleData(x1=rng.random(n1), x2=rng.random(n2) ** 0.5)
+    report = run_test(data, BootstrapConfig(num_reps=1))
+    assert report.statistic == _exact_wmw(data._ranks[2][n1:], n1, n2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_data())
+@example(_SINGLE[0])
+@example(_SINGLE[1])
+def test_screen_from_the_rank_cache_equals_the_public_objects(data):
+    n1, n2 = data.n1, data.n2
+    public = variance_profile(data)
+    assert_array_equal(_variances(data), public.v, strict=True)
+    if data.pairing is Pairing.MATCHED:
+        prof = rank_profile(data)
+        u, v = _pair_counts(data)
+        assert_array_equal(u, prof.u_counts, strict=True)
+        assert_array_equal(v, prof.v_counts, strict=True)
+        assert_array_equal(_copula_diag(u, v), empirical_copula_diag(prof), strict=True)
+    odc, m = empirical_odc(data), _Prepared(data).m
+    for tau in (0.3, 0.75, 2.0):
+        screened = math.sqrt(n1 * n2 / (n1 + n2)) * (odc.values - odc.grid)
+        want = np.flatnonzero(screened >= -tau * np.sqrt(public.v))
+        assert_array_equal(_kept_columns(m, n1, lambda: _variances(data), tau), want)
+    assert _kept_columns(m, n1, lambda: _variances(data), math.inf) is None
+
+
+@pytest.mark.parametrize("pairing", list(Pairing))
+@pytest.mark.parametrize("kind", [StatKind.WMW, StatKind.KS])
+@pytest.mark.parametrize("tau", [0.75, math.inf])
+def test_run_test_builds_no_value_object(monkeypatch, pairing, kind, tau):
+    rng = np.random.default_rng(29)
+    data = TwoSampleData(
+        x1=rng.integers(0, 7, 30).astype(float),
+        x2=rng.integers(1, 8, 30).astype(float),
+        pairing=pairing,
+    )
+    config = BootstrapConfig(tau=tau, num_reps=99, seed=3, statistic_kind=kind)
+    expected = run_test(TwoSampleData(data.x1, data.x2, pairing), config)
+
+    def refuse(self):
+        raise AssertionError(f"run_test built a {type(self).__name__}")
+
+    for cls in (OdcCurve, RankProfile, VarianceProfile):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    assert run_test(data, config) == expected
