@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .odc import (
-    OdcCurve, Pairing, RankProfile, TwoSampleData, _check_int, _check_real, _pair_counts,
+    OdcCurve, Pairing, TwoSampleData, _check_int, _check_member, _check_real, _pair_counts,
 )
 from .stats import StatKind, _sqrt_tn, _wmw_value, ks_statistic
 
@@ -37,7 +37,6 @@ __all__ = [
     "bootstrap_statistic_standard",
     "bootstrap_statistic_modified",
     "variance_profile",
-    "empirical_copula_diag",
     "critical_value",
     "run_test",
 ]
@@ -65,15 +64,19 @@ class BootstrapWeights:
     w2: np.ndarray
 
     def __post_init__(self):
-        w1 = np.asarray(self.w1, dtype=np.int64)
-        w2 = np.asarray(self.w2, dtype=np.int64)
-        for name, w in (("w1", w1), ("w2", w2)):
+        for name in ("w1", "w2"):
+            w = np.asarray(getattr(self, name))
+            if w.dtype.kind not in "biu":  # the int64 cast would truncate 1.5 and warn on nan
+                w = np.asarray(w, dtype=np.float64)
+                if not np.all(np.isfinite(w) & (w == np.rint(w))):
+                    raise ValueError(f"{name} must hold integer counts")
+            w = np.asarray(w, dtype=np.int64)
             if w.ndim != 1 or w.size == 0:
                 raise ValueError(f"{name} must be a nonempty vector")
-            if np.any(w < 0) or int(w.sum()) != w.size:
+            # Counts above the length could wrap the int64 sum round to it.
+            if np.any((w < 0) | (w > w.size)) or int(w.sum()) != w.size:
                 raise ValueError(f"{name} must be multinomial counts summing to its length")
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
+            object.__setattr__(self, name, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +87,7 @@ class VarianceProfile:
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=np.float64)
-        if (v < 0).any():
+        if not (v >= 0).all():  # also rejects nan, which the screen would drop silently
             raise ValueError("variance estimates must be nonnegative")
         object.__setattr__(self, "v", v)
 
@@ -123,8 +126,7 @@ class BootstrapConfig:
         if self.seed >= 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         object.__setattr__(self, "seed", int(self.seed))
-        if self.statistic_kind not in (StatKind.WMW, StatKind.KS):
-            raise ValueError(f"unsupported statistic kind: {self.statistic_kind}")
+        _check_member("statistic kind", self.statistic_kind, StatKind)
 
 
 @dataclass(frozen=True)
@@ -252,14 +254,10 @@ def _wmw_sums(excess: np.ndarray, keep: np.ndarray | None, n1: int, n2: int) -> 
 
 
 def _copula_diag(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``empirical_copula_diag`` of the rank numerators ``u`` and ``v``."""
+    """Empirical copula on the diagonal from the rank numerators ``u`` and ``v``
+    of n pairs: entry ``i-1`` counts pairs whose ranks both sit at or below
+    ``i``, divided by ``n``."""
     return np.cumsum(np.bincount(np.maximum(u, v), minlength=u.size + 1))[1:] / u.size
-
-
-def empirical_copula_diag(ranks: RankProfile) -> np.ndarray:
-    """Empirical copula on the diagonal: entry ``i-1`` counts pairs whose
-    normalized ranks both sit at or below ``i/n``, divided by ``n``."""
-    return _copula_diag(ranks.u_counts, ranks.v_counts)
 
 
 def _variances(data: TwoSampleData) -> np.ndarray:

@@ -26,8 +26,8 @@ from .stats import StatKind
 
 __all__ = ["parse_csv", "emit_report", "parse_report", "main"]
 
-# (JSON key, TestReport field, reader), in the report's key order. ``float``
-# reads the "inf" that ``_plain`` writes for an infinite value.
+# (JSON key, TestReport field, type), in the report's key order; ``_read``
+# reads each type.
 _REPORT_FIELDS = (
     ("statistic", "statistic", float),
     ("critical_value", "critical_value", float),
@@ -54,6 +54,21 @@ def _plain(value):
     if isinstance(value, float) and math.isinf(value):
         return str(value)
     return value
+
+
+def _read(key: str, kind: type, value):
+    """A report value of type ``kind``: a bool only from a JSON boolean, an int
+    only from a JSON integer, a float from a JSON number within the float range
+    or from the "inf" that ``_plain`` writes, an enum from its value."""
+    if issubclass(kind, Enum):
+        return kind(value)
+    if kind is float and value == "inf":
+        return math.inf
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind is not float and type(value) is kind:
+        return value
+    raise ValueError(f"report key {key!r} must be of type {kind.__name__}, got {value!r}")
 
 
 def _is_number(cell: str) -> bool:
@@ -141,10 +156,12 @@ def emit_report(report: TestReport, format: str = "json") -> str:
 def parse_report(text: str) -> TestReport:
     """Rebuild a TestReport from its JSON serialization."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a report is a JSON object, got {type(doc).__name__}")
     missing = [key for key, _, _ in _REPORT_FIELDS if key not in doc]
     if missing:
         raise ValueError(f"report is missing keys: {missing}")
-    return TestReport(**{name: read(doc[key]) for key, name, read in _REPORT_FIELDS})
+    return TestReport(**{name: _read(key, kind, doc[key]) for key, name, kind in _REPORT_FIELDS})
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -2,9 +2,8 @@
 
 When both samples share one continuous distribution and are independent, the
 normalized dominance statistic converges to the integral of the positive
-part of a Brownian bridge. This module simulates that functional on a grid,
-extracts its empirical quantiles, and evaluates the pointwise variance of
-the general limit process for a given weight, curve slope, and copula.
+part of a Brownian bridge. This module simulates that functional on a grid
+and extracts its empirical quantiles.
 
 The simulation works in place on row blocks of about 2**16 grid elements, so its
 memory grows with the grid, not the path count. Chunks of 2048 paths, one child
@@ -15,19 +14,13 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .odc import _check_int, _check_real, _quantile_rank
+from .odc import _check_int, _quantile_rank
 
-__all__ = [
-    "BridgePathConfig",
-    "LimitVarianceInputs",
-    "simulate_bridge_functional",
-    "limit_quantiles",
-    "limit_variance",
-]
+__all__ = ["BridgePathConfig", "simulate_bridge_functional", "limit_quantiles"]
 
 _CHUNK_PATHS = 2048  # paths per child seed: part of the random stream
 _BLOCK_ELEMENTS = 2**16  # grid elements per row block: a cache size, no sample depends on it
@@ -44,40 +37,6 @@ class BridgePathConfig:
         _check_int("num_paths", self.num_paths, 1)
         _check_int("grid_size", self.grid_size, 2)
         _check_int("seed", self.seed, 0)
-
-
-@dataclass(frozen=True)
-class LimitVarianceInputs:
-    """Ingredients of the pointwise limit variance at one interior point.
-
-    ``lam`` is the second-sample weight, ``R_u`` and ``r_u`` the dominance
-    curve value and slope at ``u``, and ``C_RuU``/``C_uu`` the copula at
-    ``(R_u, u)`` and ``(u, u)``. The copula values must respect the Frechet
-    bounds.
-    """
-
-    u: float
-    lam: float
-    R_u: float
-    r_u: float
-    C_RuU: float
-    C_uu: float
-
-    def __post_init__(self):
-        for f in fields(self):
-            _check_real(f.name, getattr(self, f.name))
-        if not (0.0 < self.u < 1.0):
-            raise ValueError(f"u must lie in (0, 1), got {self.u}")
-        if not (0.0 < self.lam <= 1.0):
-            raise ValueError(f"lam must lie in (0, 1], got {self.lam}")
-        if not (0.0 < self.R_u < 1.0):
-            raise ValueError(f"R_u must lie in (0, 1), got {self.R_u}")
-        if not (self.r_u >= 0.0):
-            raise ValueError(f"r_u must be nonnegative, got {self.r_u}")
-        if not (0.0 <= self.C_RuU <= min(self.R_u, self.u)):
-            raise ValueError("C_RuU violates the Frechet bounds")
-        if not (0.0 <= self.C_uu <= self.u):
-            raise ValueError("C_uu violates the Frechet bounds")
 
 
 def _pinned_walk(rng: np.random.Generator, out: np.ndarray, tmp: np.ndarray, ramp) -> None:
@@ -149,19 +108,3 @@ def limit_quantiles(samples, levels) -> np.ndarray:
         raise ValueError("quantile levels must lie in (0, 1)")
     srt = np.sort(arr)
     return np.array([srt[_quantile_rank(arr.size, p) - 1] for p in lv])
-
-
-def limit_variance(inputs: LimitVarianceInputs) -> float:
-    """Pointwise variance of the limit process of the normalized ODC.
-
-    Combines a bridge evaluated along the curve, a slope-weighted second
-    bridge, and their copula-driven covariance. On the contact set, where
-    ``R_u = u`` and ``r_u = 1``, the expression collapses to ``u - C(u, u)``.
-    """
-    lam, r, R, u = inputs.lam, inputs.r_u, inputs.R_u, inputs.u
-    cross = inputs.C_RuU - R * u
-    return (
-        lam * (R - R * R)
-        + (1.0 - lam) * r * r * (u - u * u)
-        - 2.0 * math.sqrt(lam) * math.sqrt(1.0 - lam) * r * cross
-    )

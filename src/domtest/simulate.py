@@ -128,7 +128,7 @@ def odc_family_eval(family: OdcFamily, u):
     from scipy.special import ndtr, ndtri
 
     arr = np.asarray(u, dtype=np.float64)
-    if (arr <= 0.0).any() or (arr >= 1.0).any():
+    if not ((arr > 0.0) & (arr < 1.0)).all():  # also rejects nan
         raise ValueError("family curves are defined on (0, 1) only")
     g = family.gamma
     if family.kind is FamilyKind.POWER_NULL:

@@ -28,13 +28,11 @@ __all__ = [
 class StatKind(Enum):
     WMW = "wmw"
     KS = "ks"
-    ODC_AREA = "odc_area"
 
 
 @dataclass(frozen=True)
 class StatisticValue:
     value: float
-    kind: StatKind
 
     def __post_init__(self):
         if not (self.value >= 0.0):
@@ -61,7 +59,7 @@ def wmw_statistic(odc: OdcCurve) -> StatisticValue:
     rounded float of a rational number. The total passes int64 once ``n1*n2**2``
     nears ``2**63``, so it is formed in Python ints from int64 partial sums.
     """
-    return StatisticValue(value=_wmw_value(odc.counts, odc.n1, odc.n2), kind=StatKind.WMW)
+    return StatisticValue(value=_wmw_value(odc.counts, odc.n1, odc.n2))
 
 
 def odc_area_functional(odc: OdcCurve) -> StatisticValue:
@@ -86,7 +84,7 @@ def odc_area_functional(odc: OdcCurve) -> StatisticValue:
     extra_num = sum(int(sq[j : j + step].sum()) for j in range(0, n2, step))
     denom = 2 * n1 * n1 * n2 * n2
     value = base + _sqrt_tn(n1, n2) * (extra_num / denom)
-    return StatisticValue(value=value, kind=StatKind.ODC_AREA)
+    return StatisticValue(value=value)
 
 
 def ks_statistic(data: TwoSampleData) -> StatisticValue:
@@ -100,4 +98,4 @@ def ks_statistic(data: TwoSampleData) -> StatisticValue:
     _, _, cnt1, cnt2 = data._ranks
     best = int(np.max(cnt1 * n2 - cnt2 * n1))
     value = _sqrt_tn(n1, n2) * (max(best, 0) / (n1 * n2))
-    return StatisticValue(value=value, kind=StatKind.KS)
+    return StatisticValue(value=value)

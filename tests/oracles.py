@@ -11,7 +11,6 @@ oracles weight row by weight row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -334,14 +333,6 @@ def bridge_functional_reference(num_paths, grid_size, seed, chunk_paths=2048):
 # test-only helpers on the library's private pieces
 
 
-def ecdf_eval(sample, x: float) -> float:
-    """Empirical CDF of ``sample`` at ``x``: the fraction of values <= x."""
-    arr = _as_sample(sample, "sample")
-    if not math.isfinite(x):
-        raise ValueError("evaluation point must be finite")
-    return int(np.count_nonzero(arr <= x)) / arr.size
-
-
 def empirical_quantile(sample, u: float) -> float:
     """Empirical quantile ``inf{x : ecdf(x) >= u}`` for ``u`` in (0, 1].
 
@@ -352,43 +343,6 @@ def empirical_quantile(sample, u: float) -> float:
         raise ValueError(f"quantile level must lie in (0, 1], got {u}")
     k = _quantile_rank(arr.size, u)
     return float(np.partition(arr, k - 1)[k - 1])
-
-
-@dataclass(frozen=True)
-class EffectiveSize:
-    """Effective two-sample size ``n1*n2/(n1+n2)`` and the weight ``n2/(n1+n2)``."""
-
-    t_n: float
-    lambda_hat: float
-
-
-def effective_size(n1: int, n2: int) -> EffectiveSize:
-    if n1 < 1 or n2 < 1:
-        raise ValueError("sample sizes must be positive")
-    total = n1 + n2
-    return EffectiveSize(t_n=n1 * n2 / total, lambda_hat=n2 / total)
-
-
-def normal_cdf(x):
-    """Standard normal CDF, elementwise on arrays."""
-    from scipy.special import ndtr
-
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("normal_cdf needs finite input")
-    out = ndtr(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def normal_quantile(p):
-    """Standard normal quantile for p in (0, 1), elementwise on arrays."""
-    from scipy.special import ndtri
-
-    arr = np.asarray(p, dtype=np.float64)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("normal_quantile needs p in (0, 1)")
-    out = ndtri(arr)
-    return float(out) if np.isscalar(p) or arr.ndim == 0 else out
 
 
 def gaussian_copula_pair(rho: float, rng: np.random.Generator) -> tuple[float, float]:

@@ -12,21 +12,23 @@ from domtest import (
     Pairing,
     StatKind,
     TwoSampleData,
+    VarianceProfile,
     bootstrap_odc,
     bootstrap_statistic_modified,
     bootstrap_statistic_standard,
     critical_value,
     draw_weights,
-    empirical_copula_diag,
     empirical_odc,
-    rank_profile,
+    limit_quantiles,
     run_test,
     variance_profile,
 )
 from domtest.bootstrap import (
-    _Prepared, _bootstrap_draws, _counts, _kept_columns, _multinomial_rows, _variances,
+    _Prepared, _bootstrap_draws, _copula_diag, _counts, _kept_columns, _multinomial_rows,
+    _variances,
 )
 from domtest.cli import emit_report
+from domtest.odc import _pair_counts
 
 from oracles import (
     bootstrap_odc_brute,
@@ -37,6 +39,7 @@ from oracles import (
     exact_point_mass,
     ks_draws,
     multinomial_prob,
+    vhat_brute,
     wmw_draws,
 )
 
@@ -89,6 +92,22 @@ class TestDrawWeights:
             BootstrapWeights(w1=[2, 1], w2=[1, 1])
         with pytest.raises(ValueError):
             BootstrapWeights(w1=[-1, 3], w2=[1, 1])
+
+    @pytest.mark.parametrize("w1", [[1.5, 1.5, 1.0], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_weights_must_be_integers(self, w1):
+        # int64 truncated 1.5 to 1 and cast nan under a RuntimeWarning
+        with pytest.raises(ValueError, match="w1 must hold integer counts"):
+            BootstrapWeights(w1=w1, w2=[1.0])
+
+    def test_integer_valued_floats_accepted(self):
+        w = BootstrapWeights(w1=[2.0, 0.0, 1.0], w2=np.array([1.0]))
+        assert_array_equal(w.w1, [2, 0, 1], strict=True)
+        assert w.w2.dtype == np.int64
+
+    def test_counts_whose_sum_wraps_rejected(self):
+        # 3 * 2**62 + (2**62 + 4) is 4 modulo 2**64
+        with pytest.raises(ValueError, match="summing to its length"):
+            BootstrapWeights(w1=[2**62, 2**62, 2**62, 2**62 + 4], w2=[1])
 
 
 class TestBootstrapOdc:
@@ -226,24 +245,68 @@ class TestVarianceProfile:
             data = _random_data(rng, pairing=Pairing.MATCHED)
             assert np.all(variance_profile(data).v >= 0.0)
 
+    def test_nan_rejected(self):
+        # the screen compared against -tau*sqrt(nan) and dropped the cell silently
+        with pytest.raises(ValueError, match="nonnegative"):
+            VarianceProfile(v=[np.nan, 0.1])
+
+    @pytest.mark.parametrize("value", [-0.1, -1e-300, -np.inf])
+    def test_negative_entries_rejected(self, value):
+        with pytest.raises(ValueError, match="nonnegative"):
+            VarianceProfile(v=[0.1, value])
+
+    def test_contact_set_identity_matched(self):
+        # on the diagonal with equal weights the variance is u - C(u, u)
+        rng = np.random.default_rng(54)
+        for _ in range(50):
+            data = _random_data(rng, pairing=Pairing.MATCHED)
+            expected = vhat_brute(data.x1.tolist(), data.x2.tolist(), matched=True)
+            assert_allclose(variance_profile(data).v, expected, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("n1", [1, 2, 17, 250])
+    def test_contact_set_identity_product(self, n1):
+        # with the product copula, u - u*u for any first sample and any weight
+        rng = np.random.default_rng(55)
+        u = np.arange(1, 11) / 10
+        data = TwoSampleData(x1=rng.normal(size=n1), x2=rng.random(10))
+        assert_allclose(variance_profile(data).v, u - u * u, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 8])
+    def test_matched_antithetic_is_the_frechet_lower_bound(self, n):
+        # C(u, u) = max(2u - 1, 0), so the variance is min(u, 1 - u)
+        x1 = np.arange(n, dtype=np.float64)
+        data = TwoSampleData(x1=x1, x2=-x1, pairing=Pairing.MATCHED)
+        u = np.arange(1, n + 1) / n
+        assert_allclose(variance_profile(data).v, np.minimum(u, 1 - u), rtol=1e-12, atol=1e-15)
+
+    def test_matched_within_frechet_bounds(self):
+        # max(2u - 1, 0) <= C(u, u) <= u puts the variance in [0, min(u, 1 - u)]
+        rng = np.random.default_rng(56)
+        for _ in range(50):
+            data = _random_data(rng, pairing=Pairing.MATCHED)
+            u = np.arange(1, data.n2 + 1) / data.n2
+            v = variance_profile(data).v
+            assert np.all(v >= 0.0)
+            assert np.all(v <= np.minimum(u, 1 - u) + 1e-15)
+
 
 class TestEmpiricalCopulaDiag:
     def test_comonotone(self):
         data = TwoSampleData(
             x1=[1.0, 2.0, 3.0, 4.0], x2=[10.0, 20.0, 30.0, 40.0], pairing=Pairing.MATCHED
         )
-        assert_array_equal(empirical_copula_diag(rank_profile(data)), [0.25, 0.5, 0.75, 1.0])
+        assert_array_equal(_copula_diag(*_pair_counts(data)), [0.25, 0.5, 0.75, 1.0])
 
     def test_antithetic(self):
         data = TwoSampleData(
             x1=[1.0, 2.0, 3.0, 4.0], x2=[40.0, 30.0, 20.0, 10.0], pairing=Pairing.MATCHED
         )
-        diag = empirical_copula_diag(rank_profile(data))
+        diag = _copula_diag(*_pair_counts(data))
         assert diag[2] == 0.5
 
     def test_single_pair(self):
         data = TwoSampleData(x1=[7.0], x2=[9.0], pairing=Pairing.MATCHED)
-        assert_array_equal(empirical_copula_diag(rank_profile(data)), [1.0])
+        assert_array_equal(_copula_diag(*_pair_counts(data)), [1.0])
 
 
 class TestCriticalValue:
@@ -270,6 +333,15 @@ class TestCriticalValue:
     def test_bad_alpha_rejected(self):
         with pytest.raises(ValueError):
             critical_value([1.0], 0.6)
+
+    def test_differs_from_the_limit_quantile_rule_on_the_grid(self):
+        # At alpha = c/N the upper quantile is the (N-c)-th smallest draw, one
+        # below limit_quantiles' rule at 1 - alpha; a statistic between the two
+        # has p-value alpha and must be rejected, so the rules must stay apart.
+        draws, alpha = np.arange(1.0, 248.0), 120 / 247
+        assert critical_value(draws, alpha) == 127.0
+        assert limit_quantiles(draws, [1 - alpha])[0] == 128.0
+        assert float(np.count_nonzero(draws >= 127.5)) / draws.size <= alpha
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -298,6 +370,11 @@ class TestBootstrapConfig:
     def test_integer_seeds_accepted(self):
         for seed in (0, 2**64 - 1, np.uint64(5)):
             assert BootstrapConfig(seed=seed).seed == seed
+
+    @pytest.mark.parametrize("kind", ["wmw", "ks", None])
+    def test_statistic_kind_must_be_a_member(self, kind):
+        with pytest.raises(ValueError, match="statistic kind"):
+            BootstrapConfig(statistic_kind=kind)
 
     @pytest.mark.parametrize("num_reps", [2.5, True, 0, np.int64(0)])
     def test_num_reps_must_be_a_positive_integer(self, num_reps):

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -88,6 +89,38 @@ class TestReportSerialization:
         for kwargs in ({}, {"tau": math.inf}, {"eta": math.inf}, {"statistic_kind": StatKind.KS}):
             report = self._report(**kwargs)
             assert parse_report(emit_report(report, format="json")) == report
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("reject", "false"), ("reject", 0), ("ties_detected", None),
+         ("num_bootstrap", 9.7), ("num_bootstrap", 99.0), ("num_bootstrap", True),
+         ("n1", "3"), ("seed", False), ("statistic", True), ("statistic", "1.0"),
+         ("tau", "Infinity"), ("tau", "-inf"), ("eta", None),
+         pytest.param("statistic", 2**1024, id="statistic-past-the-float-range"),
+         ("pairing", "paired"), ("statistic_kind", 0)],
+    )
+    def test_parse_rejects_a_value_of_the_wrong_type(self, key, value):
+        # "false" read as True, 9.7 as 9 and "3" as 3
+        doc = json.loads(emit_report(self._report(), format="json"))
+        doc[key] = value
+        with pytest.raises(ValueError):
+            parse_report(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["5", "null", "true"])
+    def test_parse_needs_a_json_object(self, text):
+        with pytest.raises(ValueError, match="JSON object"):
+            parse_report(text)
+
+    def test_parse_rejects_non_finite_constants(self):
+        text = emit_report(self._report(), format="json")
+        with pytest.raises(ValueError, match="statistic"):
+            parse_report(re.sub(r'"statistic": [^,]*', '"statistic": NaN', text))
+
+    def test_parse_reads_a_float_field_from_a_json_integer(self):
+        doc = json.loads(emit_report(self._report(), format="json"))
+        doc["statistic"] = 2
+        statistic = parse_report(json.dumps(doc)).statistic
+        assert statistic == 2.0 and type(statistic) is float
 
     def test_json_is_strict(self):
         def reject(constant):
@@ -382,7 +415,7 @@ def test_each_public_name_declared_once():
     names = [name for module in modules for name in module.__all__]
     assert len(names) == len(set(names))
     assert set(names) | {"__version__"} == set(domtest.__all__)
-    assert len(domtest.__all__) == 38
+    assert len(domtest.__all__) == 35
     for module in modules:
         for name in module.__all__:
             assert getattr(domtest, name) is getattr(module, name)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from domtest import BootstrapConfig, Pairing, StatKind, TwoSampleData, run_test
-from domtest.cli import emit_report, main
+from domtest.cli import emit_report, main, parse_report
 
 # name: (statistic, pairing, tau, ties, n1, n2, batch rows or None)
 CASES = {
@@ -129,7 +129,10 @@ def test_run_test_report_bytes(name, monkeypatch):
         monkeypatch.setattr("domtest.bootstrap._BATCH_ELEMENTS", batch_rows * (n1 + n2))
     config = BootstrapConfig(tau=tau, num_reps=199, seed=20 + len(name), statistic_kind=kind)
     report = run_test(_case_data(name), config)
-    assert _sha256(emit_report(report)) == DIGESTS[name]
+    text = emit_report(report)
+    assert _sha256(text) == DIGESTS[name]
+    assert parse_report(text) == report
+    assert emit_report(parse_report(text)) == text
 
 
 def test_simulate_row_bytes(capsys):

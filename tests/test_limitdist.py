@@ -9,13 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import domtest.limitdist as limitdist
-from domtest import (
-    BridgePathConfig,
-    LimitVarianceInputs,
-    limit_quantiles,
-    limit_variance,
-    simulate_bridge_functional,
-)
+from domtest import BridgePathConfig, limit_quantiles, simulate_bridge_functional
 from oracles import bridge_functional_reference, bridge_paths, empirical_quantile
 
 # analytic mean of the positive-part bridge integral
@@ -219,76 +213,3 @@ class TestLimitQuantiles:
         samples = simulate_bridge_functional(config)
         qs = limit_quantiles(samples, [0.9, 0.95, 0.99])
         assert_allclose(qs, [0.39, 0.48, 0.68], atol=0.02)
-
-
-class TestLimitVariance:
-    def test_product_copula_on_diagonal(self):
-        inputs = LimitVarianceInputs(
-            u=0.3, lam=0.5, R_u=0.3, r_u=1.0, C_RuU=0.09, C_uu=0.09
-        )
-        assert_allclose(limit_variance(inputs), 0.21, rtol=1e-15)
-
-    def test_one_sample_limit(self):
-        inputs = LimitVarianceInputs(u=0.4, lam=1.0, R_u=0.7, r_u=0.0, C_RuU=0.2, C_uu=0.3)
-        assert_allclose(limit_variance(inputs), 0.7 * 0.3, rtol=1e-15)
-
-    def test_comonotone_on_diagonal(self):
-        for u in (0.2, 0.5, 0.8):
-            inputs = LimitVarianceInputs(
-                u=u, lam=0.5, R_u=u, r_u=1.0, C_RuU=u, C_uu=u
-            )
-            assert_allclose(limit_variance(inputs), 0.0, atol=1e-15)
-
-    def test_contact_set_identity_matched(self):
-        # on the diagonal with equal weights the variance is u - C(u, u)
-        rng = np.random.default_rng(54)
-        for _ in range(50):
-            u = float(rng.uniform(0.05, 0.95))
-            c_uu = float(rng.uniform(max(2 * u - 1.0, 0.0), u))
-            inputs = LimitVarianceInputs(
-                u=u, lam=0.5, R_u=u, r_u=1.0, C_RuU=c_uu, C_uu=c_uu
-            )
-            assert_allclose(limit_variance(inputs), u - c_uu, rtol=1e-12, atol=1e-15)
-
-    def test_contact_set_identity_product(self):
-        # with the product copula the identity holds for any weight
-        rng = np.random.default_rng(55)
-        for _ in range(50):
-            u = float(rng.uniform(0.05, 0.95))
-            lam = float(rng.uniform(0.05, 1.0))
-            inputs = LimitVarianceInputs(
-                u=u, lam=lam, R_u=u, r_u=1.0, C_RuU=u * u, C_uu=u * u
-            )
-            assert_allclose(limit_variance(inputs), u - u * u, rtol=1e-12, atol=1e-15)
-
-    @pytest.mark.parametrize("field", ["u", "lam", "R_u", "r_u", "C_RuU", "C_uu"])
-    @pytest.mark.parametrize("value", ["0.5", None])
-    def test_fields_must_be_numbers(self, field, value):
-        fields = {"u": 0.4, "lam": 1.0, "R_u": 0.7, "r_u": 0.0, "C_RuU": 0.2, "C_uu": 0.3}
-        fields[field] = value
-        with pytest.raises(ValueError, match=f"{field} must be a real number"):
-            LimitVarianceInputs(**fields)
-
-    @pytest.mark.parametrize("field", ["u", "lam", "R_u", "r_u", "C_RuU", "C_uu"])
-    def test_fields_must_fit_a_float(self, field):
-        # r_u = 10**400 passed every range check, and limit_variance overflowed
-        fields = {"u": 0.4, "lam": 1.0, "R_u": 0.7, "r_u": 0.0, "C_RuU": 0.2, "C_uu": 0.3}
-        fields[field] = 10**400
-        with pytest.raises(ValueError, match=f"{field} must be a real number within the float"):
-            LimitVarianceInputs(**fields)
-
-    @pytest.mark.parametrize("field", ["u", "lam", "R_u", "r_u", "C_RuU", "C_uu"])
-    def test_fields_reject_a_long_double_past_the_float_range(self, field, long_double_past_float):
-        # float() turns it into an infinite float instead of raising
-        fields = {"u": 0.4, "lam": 1.0, "R_u": 0.7, "r_u": 0.0, "C_RuU": 0.2, "C_uu": 0.3}
-        fields[field] = long_double_past_float
-        with pytest.raises(ValueError, match=f"{field} must be a real number within the float"):
-            LimitVarianceInputs(**fields)
-
-    def test_frechet_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            LimitVarianceInputs(u=0.3, lam=0.5, R_u=0.3, r_u=1.0, C_RuU=0.4, C_uu=0.09)
-        with pytest.raises(ValueError):
-            LimitVarianceInputs(u=0.3, lam=0.5, R_u=0.3, r_u=1.0, C_RuU=0.09, C_uu=0.5)
-        with pytest.raises(ValueError):
-            LimitVarianceInputs(u=0.3, lam=0.5, R_u=0.3, r_u=1.0, C_RuU=-0.1, C_uu=0.09)

@@ -11,7 +11,7 @@ from domtest import (
     rank_profile,
 )
 
-from oracles import ecdf_brute, ecdf_eval, empirical_quantile, odc_brute
+from oracles import ecdf_brute, empirical_quantile, odc_brute
 
 
 def _random_data(rng, max_n=60):
@@ -72,38 +72,29 @@ class TestValidation:
 
 
 class TestEcdf:
+    """The first sample's ECDF, as the ODC reads it at each second-sample value:
+    R_hat(i/n2) is the fraction of x1 at or below the i-th smallest x2."""
+
     @pytest.mark.parametrize(
         "x,expected",
         [(2.0, 2.0 / 3.0), (0.0, 0.0), (3.5, 1.0)],
     )
     def test_examples(self, x, expected):
-        assert ecdf_eval([1.0, 2.0, 3.0], x) == expected
-
-    def test_empty_sample(self):
-        with pytest.raises(ValueError):
-            ecdf_eval([], 1.0)
-
-    def test_nonfinite_point(self):
-        with pytest.raises(ValueError):
-            ecdf_eval([1.0], np.nan)
+        assert empirical_odc(TwoSampleData(x1=[1.0, 2.0, 3.0], x2=[x])).values[0] == expected
 
     def test_step_function_shape(self):
         rng = np.random.default_rng(11)
         sample = rng.random(25)
-        xs = np.sort(np.concatenate([sample, rng.random(50)]))
-        vals = [ecdf_eval(sample, x) for x in xs]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-        assert ecdf_eval(sample, sample.min() - 1.0) == 0.0
-        assert ecdf_eval(sample, sample.max()) == 1.0
-        # right-continuity: the value at a jump equals the limit from above
+        below, above = sample.min() - 1.0, sample.max()
+        xs = np.concatenate([[below, above], sample, rng.random(50)])
+        curve = empirical_odc(TwoSampleData(x1=sample, x2=xs))
+        assert_array_equal(curve.values, [ecdf_brute(sample, x) for x in np.sort(xs)])
+        assert curve.values[0] == 0.0 and curve.values[-1] == 1.0
+        # right-continuity: at a jump the value equals the limit from above
         x0 = float(sample[0])
-        assert ecdf_eval(sample, x0) == ecdf_eval(sample, np.nextafter(x0, np.inf))
-
-    def test_matches_brute(self):
-        rng = np.random.default_rng(12)
-        sample = rng.random(31)
-        for x in rng.random(20):
-            assert ecdf_eval(sample, float(x)) == ecdf_brute(sample, x)
+        at_jump = empirical_odc(TwoSampleData(x1=sample, x2=[x0])).values[0]
+        past_jump = empirical_odc(TwoSampleData(x1=sample, x2=[np.nextafter(x0, np.inf)])).values[0]
+        assert at_jump == past_jump == ecdf_brute(sample, x0)
 
 
 class TestEmpiricalQuantile:
@@ -124,10 +115,10 @@ class TestEmpiricalQuantile:
         sample = rng.random(17)
         for u in rng.uniform(0.001, 1.0, size=50):
             q = empirical_quantile(sample, float(u))
-            assert ecdf_eval(sample, q) >= u
+            assert ecdf_brute(sample, q) >= u
             below = q - 1e-12
             if below >= sample.min():
-                assert ecdf_eval(sample, below) < u or q == sample.min()
+                assert ecdf_brute(sample, below) < u or q == sample.min()
 
 
 class TestEmpiricalOdc:

@@ -18,7 +18,6 @@ from domtest import (
     VarianceProfile,
     bootstrap_odc,
     draw_weights,
-    empirical_copula_diag,
     empirical_odc,
     ks_statistic,
     rank_profile,
@@ -26,7 +25,7 @@ from domtest import (
     variance_profile,
     wmw_statistic,
 )
-from domtest.bootstrap import _copula_diag, _kept_columns, _Prepared, _variances
+from domtest.bootstrap import _kept_columns, _Prepared, _variances
 from domtest.odc import _pair_counts
 from domtest.stats import _wmw_value
 
@@ -159,7 +158,6 @@ def test_screen_from_the_rank_cache_equals_the_public_objects(data):
         u, v = _pair_counts(data)
         assert_array_equal(u, prof.u_counts, strict=True)
         assert_array_equal(v, prof.v_counts, strict=True)
-        assert_array_equal(_copula_diag(u, v), empirical_copula_diag(prof), strict=True)
     odc, m = empirical_odc(data), _Prepared(data).m
     for tau in (0.3, 0.75, 2.0):
         screened = math.sqrt(n1 * n2 / (n1 + n2)) * (odc.values - odc.grid)

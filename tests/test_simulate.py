@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ndtri
 from scipy.stats import spearmanr
 
 from domtest import (
@@ -21,13 +22,8 @@ from domtest import (
     rejection_rate,
 )
 
-from oracles import (
-    gaussian_copula_pair,
-    normal_cdf,
-    normal_cdf_ref,
-    normal_quantile,
-    normal_quantile_ref,
-)
+from domtest.simulate import _gaussian_copula
+from oracles import gaussian_copula_pair, normal_cdf_ref, normal_quantile_ref
 
 
 def _spec(family, n1=30, n2=30, pairing=Pairing.INDEPENDENT, rho=0.0, mc_reps=10, **boot):
@@ -85,6 +81,14 @@ class TestFamilyEval:
         family = OdcFamily(kind=FamilyKind.POWER_NULL, gamma=1.0)
         for u in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
+                odc_family_eval(family, u)
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_every_family_rejects_points_off_the_open_interval(self, kind):
+        # nan passed the range check and came back as a nan curve value
+        family = OdcFamily(kind=kind, gamma=0.5)
+        for u in (0.0, 1.0, -0.2, 1.3, math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match="defined on"):
                 odc_family_eval(family, u)
 
     def test_negative_gamma_rejected_for_one_sided_families(self):
@@ -196,8 +200,8 @@ class TestGaussianCopula:
         rng = np.random.default_rng(63)
         rho = 0.75
         draws = np.array([gaussian_copula_pair(rho, rng) for _ in range(100_000)])
-        z1 = normal_quantile(draws[:, 0])
-        z2 = normal_quantile(draws[:, 1])
+        z1 = ndtri(draws[:, 0])
+        z2 = ndtri(draws[:, 1])
         corr = np.corrcoef(z1, z2)[0, 1]
         assert_allclose(corr, rho, atol=0.01)
 
@@ -418,28 +422,36 @@ class TestRejectionRate:
 
 
 class TestNormalFunctions:
-    def test_cdf_examples(self):
-        assert normal_cdf(0.0) == 0.5
-        assert normal_quantile(0.5) == 0.0
-        assert_allclose(normal_cdf(1.959964), 0.975, atol=1e-6)
+    """The normal CDF and quantile behind the normal families and the Gaussian
+    copula, against adaptive quadrature of the density."""
 
-    def test_cdf_against_quadrature_reference(self):
-        for x in (-3.2, -1.0, -0.1, 0.0, 0.7, 1.959964, 4.5):
-            assert abs(normal_cdf(x) - normal_cdf_ref(x)) <= 1e-9
+    @pytest.mark.parametrize("gamma", [-0.5, 0.3, 1.0])
+    def test_normal_alt_against_quadrature_reference(self, gamma):
+        family = OdcFamily(kind=FamilyKind.NORMAL_SHIFT_ALT, gamma=gamma)
+        for u in (0.001, 0.1, 0.5, 0.975, 0.999):
+            expected = normal_cdf_ref(math.exp(gamma) * normal_quantile_ref(u))
+            assert abs(odc_family_eval(family, u) - expected) <= 1e-8
 
-    def test_quantile_against_reference(self):
-        for p in (0.001, 0.1, 0.5, 0.975, 0.999):
-            assert abs(normal_quantile(p) - normal_quantile_ref(p)) <= 1e-8
+    @pytest.mark.parametrize("gamma", [0.5, 2.0])
+    def test_partial_null_against_quadrature_reference(self, gamma):
+        family = OdcFamily(kind=FamilyKind.PARTIAL_CONTACT_NULL, gamma=gamma)
+        for u in (0.001, 0.1, 0.3, 0.4999):
+            expected = normal_cdf_ref(math.exp(gamma) * normal_quantile_ref(u))
+            assert abs(odc_family_eval(family, u) - expected) <= 1e-8
 
-    def test_inverse_composition(self):
+    def test_opposite_shifts_are_inverse_curves(self):
         rng = np.random.default_rng(68)
-        for p in rng.uniform(1e-6, 1 - 1e-6, size=200):
-            assert abs(normal_cdf(normal_quantile(float(p))) - p) <= 1e-7
+        u = rng.uniform(1e-3, 1 - 1e-3, size=200)
+        up = OdcFamily(kind=FamilyKind.NORMAL_SHIFT_ALT, gamma=0.5)
+        down = OdcFamily(kind=FamilyKind.NORMAL_SHIFT_ALT, gamma=-0.5)
+        assert_allclose(odc_family_eval(down, odc_family_eval(up, u)), u, rtol=0, atol=1e-7)
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            normal_quantile(0.0)
-        with pytest.raises(ValueError):
-            normal_quantile(1.0)
-        with pytest.raises(ValueError):
-            normal_cdf(np.nan)
+    def test_gaussian_copula_margins_against_reference(self):
+        # the copula's uniforms are the normal CDF of the same rng's z draws
+        u, v = _gaussian_copula(0.6, 12, np.random.default_rng(69))
+        z = np.random.default_rng(69).standard_normal(24)
+        z1, z2 = z[:12], z[12:]
+        for got, zz in zip(u, z1):
+            assert abs(got - normal_cdf_ref(float(zz))) <= 1e-9
+        for got, a, b in zip(v, z1, z2):
+            assert abs(got - normal_cdf_ref(float(0.6 * a + math.sqrt(1 - 0.36) * b))) <= 1e-9

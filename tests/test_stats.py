@@ -5,7 +5,6 @@ import pytest
 
 from domtest import (
     OdcCurve,
-    StatKind,
     TwoSampleData,
     empirical_odc,
     ks_statistic,
@@ -13,7 +12,7 @@ from domtest import (
     wmw_statistic,
 )
 
-from oracles import area_excess_brute, effective_size, quadrature_area
+from oracles import area_excess_brute, quadrature_area
 
 
 def _random_curve(rng, max_n=60):
@@ -24,15 +23,16 @@ def _random_curve(rng, max_n=60):
 
 
 class TestEffectiveSize:
+    """Full separation: KS is sqrt(T_n) with T_n = n1*n2/(n1+n2), and WMW is
+    sqrt(T_n)/n2 * sum_i (1 - i/n2) = sqrt(T_n)*(n2-1)/(2*n2)."""
+
     @pytest.mark.parametrize("n1,n2,t_n", [(2, 2, 1.0), (500, 500, 250.0), (100, 400, 80.0)])
     def test_examples(self, n1, n2, t_n):
-        eff = effective_size(n1, n2)
-        assert eff.t_n == t_n
-        assert eff.lambda_hat == n2 / (n1 + n2)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            effective_size(0, 5)
+        x1 = np.arange(n1, dtype=np.float64)
+        data = TwoSampleData(x1=x1, x2=n1 + np.arange(n2, dtype=np.float64))
+        assert ks_statistic(data).value == math.sqrt(t_n)
+        wmw = wmw_statistic(empirical_odc(data)).value
+        assert math.isclose(wmw, math.sqrt(t_n) * (n2 - 1) / (2 * n2), rel_tol=1e-14)
 
 
 class TestWmwStatistic:
@@ -47,10 +47,6 @@ class TestWmwStatistic:
     def test_on_diagonal(self):
         curve = empirical_odc(TwoSampleData(x1=[1.0, 3.0], x2=[2.0, 4.0]))
         assert wmw_statistic(curve).value == 0.0
-
-    def test_kind(self):
-        curve = empirical_odc(TwoSampleData(x1=[1.0], x2=[2.0]))
-        assert wmw_statistic(curve).kind is StatKind.WMW
 
     def test_zero_iff_below_diagonal(self):
         rng = np.random.default_rng(21)
