@@ -205,16 +205,15 @@ def bootstrap_odc(data: TwoSampleData, weights: BootstrapWeights) -> OdcCurve:
     return OdcCurve(values=counts / data.n1, n1=data.n1, n2=data.n2)
 
 
-def _recentered_statistic(odc_star: OdcCurve, odc: OdcCurve, keep: np.ndarray | None) -> float:
+def _recentered_statistic(odc_star: OdcCurve, odc: OdcCurve, center: np.ndarray) -> float:
     if odc_star.n1 != odc.n1 or odc_star.n2 != odc.n2:
         raise ValueError("bootstrap and empirical curves must share the same grid")
-    excess = (odc_star.counts - odc.counts)[None]
-    return float(_wmw_sums(excess, keep, odc.n1, odc.n2)[0])
+    return float(_wmw_sums((odc_star.counts - center)[None], odc.n1, odc.n2)[0])
 
 
 def bootstrap_statistic_standard(odc_star: OdcCurve, odc: OdcCurve) -> float:
     """Recentered bootstrap statistic: scaled sum of max(R_star - R_hat, 0)."""
-    return _recentered_statistic(odc_star, odc, None)
+    return _recentered_statistic(odc_star, odc, odc.counts)
 
 
 def bootstrap_statistic_modified(
@@ -230,26 +229,26 @@ def bootstrap_statistic_modified(
         raise ValueError(f"tau must be positive (inf allowed), got {tau}")
     if v.v.size != odc.n2:
         raise ValueError("variance profile does not match the grid")
-    return _recentered_statistic(odc_star, odc, _kept_columns(odc.counts, odc.n1, lambda: v.v, tau))
+    return _recentered_statistic(odc_star, odc, _screened(odc.counts, odc.n1, lambda: v.v, tau))
 
 
-def _kept_columns(counts: np.ndarray, n1: int, variances, tau: float) -> np.ndarray | None:
-    """Grid columns kept by the screen of ``bootstrap_statistic_modified``, None
-    for all; ``variances()`` gives the variance array, called only for finite
-    tau, so ``tau = inf`` builds none and never meets ``-inf * sqrt(0) = nan``."""
+def _screened(counts: np.ndarray, n1: int, variances, tau: float) -> np.ndarray:
+    """ODC numerators ``counts`` with each column the screen drops set to n1,
+    where every bootstrap excess clips to 0; ``variances()`` gives the variance
+    array, called only for finite tau, so ``tau = inf`` builds none, never
+    meets ``-inf * sqrt(0) = nan`` and returns ``counts`` itself."""
     if math.isinf(tau):
-        return None
+        return counts
     n2 = counts.size
     grid = np.arange(1, n2 + 1, dtype=np.float64) / n2
-    return np.flatnonzero(_sqrt_tn(n1, n2) * (counts / n1 - grid) >= -tau * np.sqrt(variances()))
+    keep = _sqrt_tn(n1, n2) * (counts / n1 - grid) >= -tau * np.sqrt(variances())
+    return np.where(keep, counts, counts.dtype.type(n1))
 
 
-def _wmw_sums(excess: np.ndarray, keep: np.ndarray | None, n1: int, n2: int) -> np.ndarray:
+def _wmw_sums(excess: np.ndarray, n1: int, n2: int) -> np.ndarray:
     """Row-wise WMW bootstrap draws from recentered ODC numerators (clipped
     in place), summed in exact integers before the one float scaling."""
     np.maximum(excess, 0, out=excess)
-    if keep is not None:
-        excess = np.take(excess, keep, axis=1)
     return excess.sum(axis=1, dtype=np.int64) * (_sqrt_tn(n1, n2) / (n1 * n2))
 
 
@@ -384,12 +383,10 @@ class _Prepared:
         # copy; every index is in range.
         return np.take(head.ravel(), ranks, out=out, mode="clip")
 
-    def wmw_tail(
-        self, head: np.ndarray, ranks: np.ndarray, keep: np.ndarray | None, out=None
-    ) -> np.ndarray:
+    def wmw_tail(self, head: np.ndarray, ranks: np.ndarray, center: np.ndarray, out=None):
         excess = self.odc_tail(head, ranks, out)
-        excess -= self.m
-        return _wmw_sums(excess, keep, self.n1, self.n2)
+        excess -= center
+        return _wmw_sums(excess, self.n1, self.n2)
 
     def ks_shared(self, w: np.ndarray, gathered=None, running=None) -> np.ndarray:
         """KS draws from weights over both samples: the shared weights of
@@ -469,7 +466,8 @@ def _bootstrap_draws(
     first is made (``schedule``). When a sample takes more than one sub-chunk,
     one helper thread makes those calls in order, drawing the next sub-chunks
     while the engine reduces the current one (``integers`` releases the GIL),
-    and only the helper touches ``rng``; otherwise the calls run inline and no
+    and only the helper touches ``rng``; KS's counting (``_counts``) runs there
+    too, so the helper hands over counts. Otherwise the calls run inline and no
     thread starts. Either way every draw, and ``rng``'s state after the call,
     are the same.
     """
@@ -480,19 +478,21 @@ def _bootstrap_draws(
     batch = max(1, min(config.num_reps, _BATCH_ELEMENTS // per_row))
     chunk = max(1, min(batch, _CHUNK_ELEMENTS // per_row))
     out = np.empty(config.num_reps, dtype=np.float64)
-    # ``look1`` turns a sub-chunk's x1 draws into what ``fold`` reads, plus,
-    # for matched pairs, what ``finish`` reads; ``look2`` does the finish's
-    # part for x2 draws. The draws die when they return. A lookup stays bound
-    # until the next one is made (independent samples drop the last x1 lookup
-    # before their x2 lookups): freed sooner, it lets the heap trim pages that
-    # the next sub-chunk faults in again. Both statistics reuse their per-chunk
-    # buffers for the whole call.
+    # ``schedule`` applies ``ahead`` to each draw matrix as it is drawn, on the
+    # helper thread when there is one. ``look1`` turns the result for x1 into
+    # what ``fold`` reads, plus, for matched pairs, what ``finish`` reads;
+    # ``look2`` does the finish's part for x2. Their input dies when they return.
+    # A lookup stays bound until the next one is made (independent samples drop
+    # the last x1 lookup before their x2 lookups): freed sooner, it lets the
+    # heap trim pages that the next sub-chunk faults in again. Both statistics
+    # reuse their per-chunk buffers for the whole call.
     if config.statistic_kind is StatKind.WMW:
-        keep = _kept_columns(prep.m, n1, lambda: _variances(data), config.tau)
+        center = _screened(prep.m, n1, lambda: _variances(data), config.tau)
         head = np.empty((batch, n2 + 1), dtype=np.int32)
         hits = np.empty((chunk, n1), dtype=np.int64)
         ranks = np.empty((chunk, n2), dtype=np.int32)
         gathered = np.empty((chunk, n2), dtype=np.int32)
+        ahead = np.asarray  # no draw-side step: the lookups stay with the caller
 
         def look1(c1):
             found = np.take(prep.g1, c1, out=hits[: len(c1)], mode="clip")
@@ -505,7 +505,7 @@ def _bootstrap_draws(
             prep.wmw_head(found, head[lo:hi])
 
         def finish(lo, hi, ranks_rows):
-            return prep.wmw_tail(head[lo:hi], ranks_rows, keep, gathered[: hi - lo])
+            return prep.wmw_tail(head[lo:hi], ranks_rows, center, gathered[: hi - lo])
 
     else:
         # ``take`` writes ``out`` only in its source's dtype: the int64 counts
@@ -514,9 +514,9 @@ def _bootstrap_draws(
         running = np.empty((chunk, per_row), dtype=prep.ks_dtype)
         if not matched:
             head = np.empty((batch, n1), dtype=np.int32)  # the batch's x1 counts
+        ahead, look2 = _counts, np.asarray  # counted where drawn; x2 counts need no lookup
 
-        def look1(c1):
-            w = _counts(c1)
+        def look1(w):
             return w, w if matched else None
 
         def fold(lo, hi, w1):
@@ -528,7 +528,6 @@ def _bootstrap_draws(
                 w = np.concatenate((head[lo:hi], w), axis=1, out=running[: hi - lo])
             return prep.ks_shared(w, gathered[: hi - lo], running[: hi - lo])
 
-        look2 = _counts
     samples = (n1,) if matched else (n1, n2)
 
     def schedule():
@@ -538,7 +537,7 @@ def _bootstrap_draws(
             for second, n in enumerate(samples):
                 for lo in range(0, rows, chunk):
                     hi = min(lo + chunk, rows)
-                    yield done, lo, hi, second, rng.integers(0, n, size=(hi - lo, n))
+                    yield done, lo, hi, second, ahead(rng.integers(0, n, size=(hi - lo, n)))
 
     draws = schedule()
     if config.num_reps > chunk:  # more than one sub-chunk per sample

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from domtest import Pairing
+from domtest import Pairing, empirical_odc, variance_profile
 from domtest.bootstrap import _categories
 from domtest.limitdist import _pinned_walk
 from domtest.odc import _as_sample, _check_int, _quantile_rank
@@ -366,10 +366,26 @@ def bridge_paths(rng: np.random.Generator, num_paths: int, grid_size: int) -> np
 # engine adapters: a ``_Prepared`` engine driven by row-wise weight matrices
 
 
+def kept_columns(data, tau):
+    """Grid columns that the contact-set screen keeps at ``tau``, from the
+    public ODC and variance profile; None keeps every column (tau = inf)."""
+    if math.isinf(tau):
+        return None
+    odc, v = empirical_odc(data), variance_profile(data).v
+    scaled = math.sqrt(data.n1 * data.n2 / (data.n1 + data.n2)) * (odc.values - odc.grid)
+    return np.flatnonzero(scaled >= -tau * np.sqrt(v))
+
+
 def wmw_draws(prep, w1, w2, keep):
-    """WMW draws of the engine ``prep`` from row-wise weights ``w1`` and ``w2``."""
+    """WMW draws of the engine ``prep`` from row-wise weights ``w1`` and ``w2``,
+    summed over the grid columns ``keep`` (all when None): a column recentered
+    at n1 instead of its numerator clips to 0."""
+    center = prep.m
+    if keep is not None:
+        center = np.full_like(prep.m, prep.n1)
+        center[keep] = prep.m[keep]
     head = prep.wmw_head(prep.g1[_categories(w1)])
-    return prep.wmw_tail(head, prep.rank2[_categories(w2)], keep)
+    return prep.wmw_tail(head, prep.rank2[_categories(w2)], center)
 
 
 def ks_draws(prep, w1, w2):

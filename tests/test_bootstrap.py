@@ -24,8 +24,7 @@ from domtest import (
     variance_profile,
 )
 from domtest.bootstrap import (
-    _Prepared, _bootstrap_draws, _copula_diag, _counts, _kept_columns, _multinomial_rows,
-    _variances,
+    _Prepared, _bootstrap_draws, _copula_diag, _counts, _multinomial_rows,
 )
 from domtest.cli import emit_report
 from domtest.odc import _pair_counts
@@ -37,6 +36,7 @@ from oracles import (
     enumerate_bootstrap,
     exact_critical_value,
     exact_point_mass,
+    kept_columns,
     ks_draws,
     multinomial_prob,
     vhat_brute,
@@ -582,7 +582,7 @@ class TestBatchEngine:
             else:
                 w2 = _multinomial_rows(np.random.default_rng(78), data.n2, 64)
             for tau in (math.inf, 0.75):
-                keep = _kept_columns(prep.m, prep.n1, lambda: _variances(data), tau)
+                keep = kept_columns(data, tau)
                 draws = wmw_draws(prep, w1, w2, keep)
                 base = empirical_odc(data)
                 v = variance_profile(data)

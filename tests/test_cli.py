@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -8,9 +9,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import domtest
-from domtest import Pairing, StatKind
+from domtest import Pairing, StatKind, cli
 from domtest.cli import emit_report, main, parse_csv, parse_report
 from domtest import BootstrapConfig, TwoSampleData, run_test
 
@@ -73,6 +76,78 @@ class TestParseCsv:
         path = _write(tmp_path, "d.csv", "group,value\n1,1.0\n2,2.0\n")
         data = parse_csv(path, paired=False)
         assert data.n1 == data.n2 == 1
+
+    @pytest.mark.parametrize(
+        "text, paired, x1, x2",
+        [("group,value\n1,0.5\n2,-1\n1,3e2\n", False, [0.5, 300.0], [-1.0]),
+         ('"1"," 0.5 "\r\n2,\t7\r\n', False, [0.5], [7.0]),
+         ("x1,x2\n0.5, 2\n1_0,-4\n", True, [0.5, 10.0], [2.0, -4.0])],
+    )
+    def test_clean_bodies_are_read_a_column_at_a_time(self, monkeypatch, text, paired, x1, x2):
+        # quoted cells, CRLF and padded values still take the bulk path
+        def row_loop(rows, start, paired):
+            raise AssertionError("a clean body must not need the row loop")
+
+        monkeypatch.setattr(cli, "_row_columns", row_loop)
+        data = parse_csv(io.StringIO(text), paired=paired)
+        assert (data.x1.tolist(), data.x2.tolist()) == (x1, x2)
+
+
+_NUMBERS = st.sampled_from(["0.5", "-3", "2.25e1", "1", "2", "7", "0", "-0.0", "1e-300"])
+_CELLS = st.sampled_from(["1", "2", "3", " 1", "1.5", "", "nan", "inf", "1_0", "oops", "1,5"])
+
+
+@st.composite
+def _cell(draw):
+    pad = st.sampled_from(["", " ", "\t", "\xa0", "\x1c"])
+    text = draw(pad) + draw(_CELLS) + draw(pad)
+    return f'"{text}"' if "," in text or draw(st.booleans()) else text
+
+
+@st.composite
+def _csv_file(draw):
+    """CSV bytes: mostly clean group,value (or x1,x2) rows, a few rows of
+    1 to 3 odd cells or none, an optional header, BOM and CRLF."""
+    rows = [[draw(_NUMBERS) for _ in range(2)] for _ in range(draw(st.integers(0, 8)))]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.lists(_cell(), max_size=3))
+    lines = [",".join(row) for row in rows]
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["group,value", "x1,x2", "a,b,c", " g , v "])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode()
+
+
+def _parsed(raw, paired):
+    """The bytes of both samples that ``parse_csv`` reads from the file
+    ``raw``, or the text of the ValueError it raises."""
+    source = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+    try:
+        data = parse_csv(source, paired=paired)
+    except ValueError as exc:
+        return str(exc)
+    return data.x1.tobytes(), data.x2.tobytes()
+
+
+def _no_bulk(body, paired):
+    raise ValueError("row loop only")
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=_csv_file(), paired=st.booleans())
+@example(raw=b"1,0.5\n2,0.7\n", paired=False)
+@example(raw=b"\xef\xbb\xbfx1,x2\r\n0.5,nan\r\n", paired=True)
+@example(raw=b"1,0.5\n1,0.7\n", paired=False)
+@example(raw=b"1,0.5\n\n2,0.7\n", paired=False)
+@example(raw=b"1,0.5\n 1,0.7\n2,1\n", paired=False)
+@example(raw=b"1,\x1c0.5\n2,0.7\n", paired=False)
+@example(raw=b"1,0.5,\n2,0.7\n", paired=True)
+def test_bulk_parse_equals_the_row_loop(raw, paired):
+    bulk = _parsed(raw, paired)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_bulk_columns", _no_bulk)
+        assert _parsed(raw, paired) == bulk
 
 
 class TestReportSerialization:
@@ -260,6 +335,48 @@ class TestMain:
         path = _write(tmp_path, "bad.csv", "1,oops\n1,0.5\n2,0.7\n")
         assert main(["test", "--input", path]) == 3
         assert "line 1" in capsys.readouterr().err
+
+    def test_wmw_on_tied_data_warns_and_keeps_its_report(self, tmp_path, capsys):
+        path = _write(tmp_path, "tied.csv", "group,value\n1,1\n1,2\n1,2\n2,1\n2,3\n")
+        assert main(["test", "--input", path, "--boot", "99"]) == 0
+        out, err = capsys.readouterr()
+        # the report's bytes from before the warning
+        digest = "a6f19b76c755e954a519191bc08d2783670155659c382b9f0693a45fb5326d9c"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert json.loads(out)["ties_detected"] is True
+        assert err.startswith("warning: ") and "--stat ks" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, stat",
+        [("group,value\n1,1\n1,2\n1,2\n2,1\n2,3\n", "ks"),
+         ("group,value\n1,1\n1,2\n2,1.5\n2,3\n", "wmw")],
+    )
+    def test_no_tie_warning_for_ks_or_untied_data(self, tmp_path, capsys, text, stat):
+        path = _write(tmp_path, "d.csv", text)
+        assert main(["test", "--input", path, "--boot", "99", "--stat", stat]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # one process reuses the cached parser; each call's exit code, stdout
+        # and stderr are those of the same call in a fresh interpreter
+        path = _write(tmp_path, "d.csv", "group,value\n1,0.4\n1,0.9\n2,0.5\n2,0.5\n")
+        calls = [
+            ["test", "--input", path, "--boot", "99", "--seed", "2"],
+            ["test", "--input", path, "--boot", "many"],
+            ["null-quantiles", "--paths", "64", "--grid", "20"],
+            ["test", "--input", path, "--boot", "99", "--seed", "2"],
+        ]
+        together = []
+        for argv in calls:
+            code = main(argv)
+            together.append((code, *capsys.readouterr()))
+        alone = []
+        for argv in calls:
+            run = _fresh(["-m", "domtest.cli", *argv])
+            alone.append((run.returncode, run.stdout, run.stderr))
+        assert together == alone
+        assert [code for code, _, _ in together] == [0, 2, 0, 0]
+        assert together[0] == together[3]
 
     @pytest.mark.parametrize("spelling", ["Inf", "INFINITY", "infinity", " inf "])
     def test_tau_inf_spellings(self, tmp_path, capsys, spelling):

@@ -1,10 +1,11 @@
 """The bootstrap's category draws, made one sub-chunk ahead on a helper thread.
 
 ``_bootstrap_draws`` makes its ``integers`` calls on one helper thread when a
-sample takes more than one sub-chunk, and inline otherwise. These tests check
-that both give the same draws and leave ``rng`` in the same state, that only
-multi-sub-chunk calls start the thread, and that an exception on either side
-reaches the caller with no thread left behind.
+sample takes more than one sub-chunk, and inline otherwise; KS counts each
+draw matrix (``_counts``) where it was drawn. These tests check that both give
+the same draws and leave ``rng`` in the same state, that only multi-sub-chunk
+calls start the thread, that the helper then does all of KS's counting, and
+that an exception on either side reaches the caller with no thread left behind.
 """
 
 import math
@@ -45,6 +46,18 @@ def _finishes(call, seconds=30):
     if "error" in outcome:
         raise outcome["error"]
     return outcome["value"]
+
+
+def _counting_threads(mp):
+    """Patch ``bootstrap._counts`` to record the name of each calling thread."""
+    names, counts = [], bootstrap._counts
+
+    def spy(categories):
+        names.append(threading.current_thread().name)
+        return counts(categories)
+
+    mp.setattr(bootstrap, "_counts", spy)
+    return names
 
 
 def _data(n1, n2, pairing, seed=3):
@@ -101,13 +114,20 @@ def test_drawn_ahead_equals_inline(data, kind, tau, num_reps, chunk_rows, batch_
             return drawn_ahead(stream)
 
         mp.setattr(bootstrap, "_drawn_ahead", spy)
+        counting = _counting_threads(mp)
         ahead_rng = np.random.default_rng(seed)
         ahead = _bootstrap_draws(prep, config, ahead_rng)
         mp.setattr(bootstrap, "_drawn_ahead", lambda stream: stream)
         inline_rng = np.random.default_rng(seed)
         inline = _bootstrap_draws(prep, config, inline_rng)
-    # the helper runs exactly when a sample takes more than one sub-chunk
+    # the helper runs exactly when a sample takes more than one sub-chunk, and
+    # then it counts every KS draw matrix; WMW counts none
     assert len(helpers) == (num_reps > min(chunk_rows, batch_rows))
+    calls = len(counting) // 2
+    assert (calls > 0) == (kind is StatKind.KS)
+    here = threading.current_thread().name
+    where = "domtest-draws" if helpers else here
+    assert counting == [where] * calls + [here] * calls
     assert_array_equal(ahead, inline)
     assert ahead_rng.bit_generator.state == inline_rng.bit_generator.state
 
@@ -124,6 +144,21 @@ def test_only_a_call_of_several_sub_chunks_starts_a_thread(
     config = BootstrapConfig(num_reps=num_reps, statistic_kind=kind)
     run_test(data, config)
     assert thread_starts == ["domtest-draws"] * threads
+
+
+@pytest.mark.parametrize("pairing", [Pairing.INDEPENDENT, Pairing.MATCHED])
+@pytest.mark.parametrize("num_reps, sub_chunks", [(1, 1), (500, 1), (999, 2)])
+def test_ks_counts_run_on_the_helper_whenever_it_starts(
+    monkeypatch, thread_starts, pairing, num_reps, sub_chunks
+):
+    # At n = 100 a sub-chunk holds 655 rows, so only B = 999 starts the helper.
+    counting = _counting_threads(monkeypatch)
+    data = _data(100, 100, pairing)
+    run_test(data, BootstrapConfig(num_reps=num_reps, statistic_kind=StatKind.KS))
+    calls = sub_chunks * (1 if pairing is Pairing.MATCHED else 2)
+    where = "domtest-draws" if thread_starts else threading.current_thread().name
+    assert counting == [where] * calls
+    assert thread_starts == ["domtest-draws"] * (sub_chunks > 1)
 
 
 @pytest.mark.parametrize("pairing", [Pairing.INDEPENDENT, Pairing.MATCHED])

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from domtest import BootstrapConfig, Pairing, StatKind, TwoSampleData, run_test
-from domtest.bootstrap import (
-    _bootstrap_draws, _categories, _counts, _kept_columns, _Prepared, _variances,
-)
+from domtest.bootstrap import _bootstrap_draws, _categories, _counts, _Prepared
 
-from oracles import ks_draws, odc_counts_reference, wmw_draws, wmw_draws_reference
+from oracles import (
+    kept_columns, ks_draws, odc_counts_reference, wmw_draws, wmw_draws_reference,
+)
 
 # few distinct values, so most datasets carry heavy ties
 _VALUES = st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.0])
@@ -72,7 +72,7 @@ def _draw_case(draw):
 def test_draw_indexed_rows_equal_count_reference(case, tau):
     data, c1, c2 = case
     prep = _Prepared(data)
-    keep = _kept_columns(prep.m, prep.n1, lambda: _variances(data), tau)
+    keep = kept_columns(data, tau)
     w1, w2 = _row_counts(c1, data.n1), _row_counts(c2, data.n2)
     want_odc, _ = odc_counts_reference(data.x1, data.x2, w1, w2)
     assert_array_equal(prep.odc_tail(prep.wmw_head(prep.g1[c1]), prep.rank2[c2]), want_odc)
@@ -123,7 +123,7 @@ def test_engine_replays_the_draw_schedule(monkeypatch, pairing, kind):
         c2 = c1 if pairing is Pairing.MATCHED else replay.integers(0, n2, size=(rows, n2))
         w1, w2 = _row_counts(c1, n1), _row_counts(c2, n2)
         if kind is StatKind.WMW:
-            keep = _kept_columns(prep.m, n1, lambda: _variances(data), 0.75)
+            keep = kept_columns(data, 0.75)
             want.append(wmw_draws_reference(data.x1, data.x2, w1, w2, keep))
         else:
             want.append(ks_draws(prep, w1, w2))

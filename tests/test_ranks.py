@@ -25,7 +25,7 @@ from domtest import (
     variance_profile,
     wmw_statistic,
 )
-from domtest.bootstrap import _kept_columns, _Prepared, _variances
+from domtest.bootstrap import _Prepared, _screened, _variances
 from domtest.odc import _pair_counts
 from domtest.stats import _wmw_value
 
@@ -161,9 +161,10 @@ def test_screen_from_the_rank_cache_equals_the_public_objects(data):
     odc, m = empirical_odc(data), _Prepared(data).m
     for tau in (0.3, 0.75, 2.0):
         screened = math.sqrt(n1 * n2 / (n1 + n2)) * (odc.values - odc.grid)
-        want = np.flatnonzero(screened >= -tau * np.sqrt(public.v))
-        assert_array_equal(_kept_columns(m, n1, lambda: _variances(data), tau), want)
-    assert _kept_columns(m, n1, lambda: _variances(data), math.inf) is None
+        # a dropped column is recentered at n1, where every excess clips to 0
+        want = np.where(screened >= -tau * np.sqrt(public.v), m, m.dtype.type(n1))
+        assert_array_equal(_screened(m, n1, lambda: _variances(data), tau), want, strict=True)
+    assert _screened(m, n1, lambda: _variances(data), math.inf) is m
 
 
 @pytest.mark.parametrize("pairing", list(Pairing))
