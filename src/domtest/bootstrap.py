@@ -55,6 +55,11 @@ _BATCH_ELEMENTS = 4_000_000
 # with none waiting.
 _CHUNK_ELEMENTS = 1 << 17
 
+# Levels of KS's max-prefix tree (``_Prepared.ks_shared``). Its slot table is
+# padded to a multiple of 2**_TREE_LEVELS, and a cumsum over the remaining
+# blocks finishes each row. A speed constant: the draws do not depend on it.
+_TREE_LEVELS = 5
+
 
 @dataclass(frozen=True, eq=False)
 class BootstrapWeights:
@@ -160,6 +165,15 @@ def _counts(categories: np.ndarray) -> np.ndarray:
     rows, n = categories.shape
     flat = categories + _row_offsets(rows, n, np.int64)
     return np.bincount(flat.ravel(), minlength=rows * n).reshape(rows, n)
+
+
+def _column_counts(categories: np.ndarray) -> np.ndarray:
+    """``_counts(categories).T`` in C order, one row per category; counts in
+    place, overwriting ``categories``, so no second draw-sized matrix is made."""
+    rows, n = categories.shape
+    categories *= rows
+    categories += np.arange(rows)[:, None]
+    return np.bincount(categories.ravel(), minlength=n * rows).reshape(n, rows)
 
 
 def _categories(w: np.ndarray) -> np.ndarray:
@@ -299,9 +313,10 @@ class _Prepared:
     """Per-dataset quantities reused across all bootstrap replications.
 
     WMW is reduced in two stages: a head from a row's x1 draws, then the
-    row's draw from its head and its x2 draws. KS reduces each row in one
-    pass over the merged pooled order (``ks_shared``), from the weights that
-    matched pairs share or from a row's x1 weights joined to its x2 weights.
+    row's draw from its head and its x2 draws. KS takes x1 and x2 counts in
+    a column layout, one column per row (matched pairs pass the counts they
+    share as both), and reduces every column at once with a max-prefix tree
+    over the merged pooled order (``ks_shared``).
     The fields that only one statistic reads are built on first use, so WMW
     draws never build the KS state and KS draws never build the WMW state.
     All of it reads the rank cache, as do ``run_test``'s observed statistic and
@@ -314,8 +329,8 @@ class _Prepared:
         self.n2 = data.n2
         self.perm1, self.perm2, self.cnt1, self.cnt2 = data._ranks
         self.m = self.cnt1[self.n1 :].astype(np.int32)
-        # Recentered KS differences lie within +-2*n1*n2; int32 holds them
-        # up to n1*n2 < 2**30, beyond that int64 does.
+        # Sums of runs of KS terms lie within +-2*n1*n2; int32 holds them up
+        # to n1*n2 < 2**30, beyond that int64 does.
         self.ks_dtype = np.int32 if self.n1 * self.n2 < 2**30 else np.int64
 
     @functools.cached_property
@@ -337,14 +352,20 @@ class _Prepared:
 
     @functools.cached_property
     def ks_merged(self):
-        """``(src, coef, base, ends)`` for KS over the merged order of both
-        sorted samples, tied x2 values before tied x1 values: merged point q
-        reads weight ``src[q]``, of an x1 (``coef[q] = n2``) or an x2
-        (``coef[q] = -n1``) observation, ``base = cumsum(coef)``, and
-        ``ends`` lists the positions that close a group of tied values, None
-        when all do. x2 observation j reads weight j of the weights that
-        matched pairs share, or weight n1 + j of a row's joined x1 | x2
-        weights."""
+        """``(src, off, dtype, height)``: the slot table of ``ks_shared``'s tree.
+
+        The merged order lists both sorted samples, tied x2 values before tied
+        x1 values. Merged point q sits in slot
+        ``bitrev(q mod 2**K) * (slots / 2**K) + q div 2**K`` (K =
+        ``_TREE_LEVELS``), and the slots past the last point pad the table to
+        a multiple of 2**K. Slot i reads row ``src[i]`` of ``ks_shared``'s
+        terms: x1 observation j is row j, x2 observation j row n1 + j, and
+        padding reads the zero row n1 + n2. ``off`` is None when no two pooled
+        values tie; otherwise it is 0 at the points that close a group of tied
+        values and at the padding, and below ``-2*n1*n2`` elsewhere, so that
+        no prefix ending inside a group can be the maximum. ``dtype`` holds
+        every sum and best prefix of the tree; ``height`` is the rows of the
+        terms buffer, which the tree's sums reuse."""
         n1, n2 = self.n1, self.n2
         # Sorted x2 number j follows the x1 values strictly below it, those
         # with cnt2 <= j; sorted x1 number i follows the cnt2[i] x2 values at
@@ -352,16 +373,24 @@ class _Prepared:
         below = np.cumsum(np.bincount(self.cnt2[:n1], minlength=n2 + 1)[:n2])
         pos1 = np.arange(n1) + self.cnt2[:n1]
         pos2 = np.arange(n2) + below
-        src = np.empty(n1 + n2, dtype=np.intp)
-        src[pos1] = self.perm1
-        src[pos2] = self.perm2 if self.data.pairing is Pairing.MATCHED else self.perm2 + n1
-        coef = np.empty(n1 + n2, dtype=np.int64)
-        coef[pos1], coef[pos2] = n2, -n1
-        base = np.cumsum(coef).astype(self.ks_dtype)
+        leaves = 1 << _TREE_LEVELS
+        blocks = -(-(n1 + n2) // leaves)
+        bitrev = np.array([int(f"{r:0{_TREE_LEVELS}b}"[::-1], 2) for r in range(leaves)])
+        q = np.arange(n1 + n2)
+        slot = bitrev[q % leaves] * blocks + q // leaves
+        src = np.full(leaves * blocks, n1 + n2, dtype=np.intp)
+        src[slot[pos1]], src[slot[pos2]] = self.perm1, self.perm2 + n1
         # A pooled point's value closes the group at position cnt1 + cnt2 - 1.
         groups = np.bincount(self.cnt1 + self.cnt2)
-        ends = np.flatnonzero(groups) - 1 if groups.max() > 1 else None
-        return src, coef, base, ends
+        off, dtype = None, self.ks_dtype
+        if groups.max() > 1:
+            # Every best prefix then lies within [-4*n1*n2 - 1, 2*n1*n2], which
+            # int32 holds only up to n1*n2 < 2**29.
+            dtype = self.ks_dtype if n1 * n2 < 2**29 else np.int64
+            off = np.zeros((leaves * blocks, 1), dtype=dtype)
+            off[slot] = -2 * n1 * n2 - 1
+            off[slot[np.flatnonzero(groups) - 1]] = 0
+        return src, off, dtype, max(n1 + n2 + 1, src.size // 2)
 
     def wmw_head(self, hits: np.ndarray, out=None) -> np.ndarray:
         """h[r, k] counts the resampled x1 of row r at or below sorted x2
@@ -388,21 +417,49 @@ class _Prepared:
         excess -= center
         return _wmw_sums(excess, self.n1, self.n2)
 
-    def ks_shared(self, w: np.ndarray, gathered=None, running=None) -> np.ndarray:
-        """KS draws from weights over both samples: the shared weights of
-        matched pairs, or each row's x1 weights joined to its x2 weights. The
-        recentered numerator ``n2*(cum1 - cnt1) - n1*(cum2 - cnt2)`` at each
-        pooled point is one running sum of ``coef*(w[src] - 1)`` over the
-        merged order, read where the point's group of tied values ends."""
-        src, coef, base, ends = self.ks_merged
-        gathered = np.take(w, src, axis=1, out=gathered, mode="clip")
-        gathered *= coef
-        diff = np.cumsum(gathered, axis=1, dtype=self.ks_dtype, out=running)
-        diff -= base
-        if ends is not None:
-            diff = np.take(diff, ends, axis=1)
-        best = np.maximum(diff.max(axis=1), 0)
-        return best * (_sqrt_tn(self.n1, self.n2) / (self.n1 * self.n2))
+    def ks_shared(self, w1: np.ndarray, w2: np.ndarray, terms=None, part=None) -> np.ndarray:
+        """KS draws from column counts of x1 (``w1``) and x2 (``w2``), one
+        column per row; matched pairs pass their shared counts as both.
+
+        The recentered numerator ``n2*(cum1 - cnt1) - n1*(cum2 - cnt2)`` at
+        each pooled point is a prefix sum of terms ``n2*(w1 - 1)`` and
+        ``-n1*(w2 - 1)`` over the merged order, and a draw is the largest
+        such prefix at the end of a group of tied values. A max-prefix tree
+        finds it exactly in integers: a run of points carries its sum s and
+        its best prefix b, and runs join as ``(sL + sR, max(bL, sL + bR))``.
+        ``ks_merged``'s slot order puts the two runs that each level joins at
+        the same row of the two halves of the slots, so every level is a few
+        in-place ufunc calls on contiguous blocks; a short cumsum over the
+        remaining blocks finishes each column. ``terms`` (``ks_merged``'s
+        height) and ``part`` (one row per slot) are buffers in its dtype; the
+        last point's prefix is 0, so no draw is negative."""
+        n1, n2 = self.n1, self.n2
+        src, off, dtype, height = self.ks_merged
+        if terms is None:
+            terms = np.empty((height, w1.shape[1]), dtype=dtype)
+        np.copyto(terms[:n1], w1, casting="unsafe")  # counts fit: at most n1 or n2
+        np.copyto(terms[n1 : n1 + n2], w2, casting="unsafe")
+        terms[: n1 + n2] -= 1
+        terms[:n1] *= n2
+        terms[n1 : n1 + n2] *= -n1
+        terms[n1 + n2] = 0
+        part = np.take(terms, src, axis=0, out=part, mode="clip")
+        # Level 1 joins slot i with slot i + half, sums into ``terms`` and best
+        # prefixes into the first half of ``part``.
+        half = len(src) // 2
+        best, sums = part[:half], np.add(part[:half], part[half:], out=terms[:half])
+        if off is not None:
+            best += off[:half]
+            np.add(sums, off[half:], out=part[half:])
+        np.maximum(best, sums if off is None else part[half:], out=best)
+        for _ in range(_TREE_LEVELS - 1):
+            half //= 2
+            best[half : 2 * half] += sums[:half]
+            np.maximum(best[:half], best[half : 2 * half], out=best[:half])
+            sums[:half] += sums[half : 2 * half]
+        before = np.cumsum(sums[: half - 1], axis=0, out=sums[: half - 1])
+        best[1:half] += before
+        return best[:half].max(axis=0) * (_sqrt_tn(n1, n2) / (n1 * n2))
 
 
 def _drawn_ahead(stream):
@@ -453,11 +510,12 @@ def _bootstrap_draws(
     Category draws come a batch at a time (see ``_BATCH_ELEMENTS``), all x1
     rows before all x2 rows, and no batch of draws is ever held: each x1
     sub-chunk is drawn and folded at once into a batch matrix, of WMW head
-    rows or of independent KS's x1 counts. Matched pairs finish those rows
-    from the same draws; independent samples then draw each x2 sub-chunk and
-    finish its rows from the batch matrix. Matched KS keeps no batch matrix:
-    it finishes each sub-chunk in one pass over the merged pooled order, as
-    independent KS does from each row's joined x1 | x2 counts. ``integers``
+    rows or of independent KS's x1 counts (one column per row). Matched pairs
+    finish those rows from the same draws; independent samples then draw each
+    x2 sub-chunk and finish its rows from the batch matrix. Matched KS keeps
+    no batch matrix: it finishes each sub-chunk's columns of counts with one
+    max-prefix tree over the merged pooled order, as independent KS does from
+    the batch matrix's x1 columns and each x2 sub-chunk's counts. ``integers``
     takes every value from the bit generator's stream, whose half-word buffer
     lives in the generator state, so k calls of r rows equal one call of k*r
     rows and no draw depends on the sub-chunk size.
@@ -466,8 +524,9 @@ def _bootstrap_draws(
     first is made (``schedule``). When a sample takes more than one sub-chunk,
     one helper thread makes those calls in order, drawing the next sub-chunks
     while the engine reduces the current one (``integers`` releases the GIL),
-    and only the helper touches ``rng``; KS's counting (``_counts``) runs there
-    too, so the helper hands over counts. Otherwise the calls run inline and no
+    and only the helper touches ``rng``; KS's counting (``_column_counts``, in
+    place in the fresh draw matrix) runs there too, so the helper hands over
+    columns of counts. Otherwise the calls run inline and no
     thread starts. Either way every draw, and ``rng``'s state after the call,
     are the same.
     """
@@ -508,25 +567,33 @@ def _bootstrap_draws(
             return prep.wmw_tail(head[lo:hi], ranks_rows, center, gathered[: hi - lo])
 
     else:
-        # ``take`` writes ``out`` only in its source's dtype: the int64 counts
-        # that matched pairs share, or the joined counts in ``running``.
-        gathered = np.empty((chunk, per_row), dtype=np.int64 if matched else prep.ks_dtype)
-        running = np.empty((chunk, per_row), dtype=prep.ks_dtype)
+        # Column layout: one row per observation or tree slot, one column per
+        # bootstrap row, so each sub-chunk views the per-call buffers as
+        # contiguous (height, rows) blocks. Both buffers are one allocation:
+        # freed at the end of the call, one block of that size leaves the heap
+        # untrimmed for the next call's count matrices, where two half-size
+        # blocks cost about 500 minor faults per call (glibc, n = 2000).
+        src, _, dtype, height = prep.ks_merged
+        space = np.empty((height + src.size) * chunk, dtype=dtype)
+        terms, part = space[: height * chunk], space[height * chunk :]
         if not matched:
-            head = np.empty((batch, n1), dtype=np.int32)  # the batch's x1 counts
-        ahead, look2 = _counts, np.asarray  # counted where drawn; x2 counts need no lookup
+            head = np.empty((n1, batch), dtype=np.int32)  # the batch's x1 counts
+        ahead, look2 = _column_counts, np.asarray  # counted where drawn
 
         def look1(w):
             return w, w if matched else None
 
         def fold(lo, hi, w1):
             if not matched:
-                head[lo:hi] = w1
+                head[:, lo:hi] = w1
 
-        def finish(lo, hi, w):
-            if not matched:
-                w = np.concatenate((head[lo:hi], w), axis=1, out=running[: hi - lo])
-            return prep.ks_shared(w, gathered[: hi - lo], running[: hi - lo])
+        def finish(lo, hi, w2):
+            rows = hi - lo
+            return prep.ks_shared(
+                w2 if matched else head[:, lo:hi], w2,
+                terms[: height * rows].reshape(height, rows),
+                part[: src.size * rows].reshape(src.size, rows),
+            )
 
     samples = (n1,) if matched else (n1, n2)
 

@@ -3,9 +3,10 @@
 Everything here is written from the definitions with plain loops, Fractions,
 and quadrature, and deliberately shares no code with the library under test.
 The exceptions are the last two sections: helpers that only tests call, built
-on the library's private pieces, and two adapters that feed row-wise weight
+on the library's private pieces, and adapters that feed row-wise weight
 matrices to the bootstrap engine, so tests can compare its draws with these
-oracles weight row by weight row.
+oracles weight row by weight row, plus the running-sum KS reduction that the
+engine's max-prefix tree must match bit for bit.
 """
 
 from __future__ import annotations
@@ -390,6 +391,34 @@ def wmw_draws(prep, w1, w2, keep):
 
 def ks_draws(prep, w1, w2):
     """KS draws of the engine ``prep`` from row-wise weights ``w1`` and ``w2``;
-    matched pairs read ``w1`` alone."""
+    matched pairs read ``w1`` alone. The engine takes one column per row."""
     matched = prep.data.pairing is Pairing.MATCHED
-    return prep.ks_shared(w1 if matched else np.concatenate((w1, w2), axis=1))
+    return prep.ks_shared(w1.T, (w1 if matched else w2).T)
+
+
+def ks_cumsum_reference(prep, w1, w2):
+    """KS draws from row-wise weights by one running sum along each row: the
+    engine's reduction before its max-prefix tree.
+
+    The recentered numerator ``n2*(cum1 - cnt1) - n1*(cum2 - cnt2)`` at each
+    pooled point is a running sum of ``coef*(w[src] - 1)`` over both sorted
+    samples merged into one order (tied x2 before tied x1), read where each
+    group of tied values ends, in ``prep.ks_dtype``, clipped at 0 and scaled.
+    """
+    n1, n2 = prep.n1, prep.n2
+    matched = prep.data.pairing is Pairing.MATCHED
+    w = w1 if matched else np.concatenate((w1, w2), axis=1)
+    below = np.cumsum(np.bincount(prep.cnt2[:n1], minlength=n2 + 1)[:n2])
+    pos1 = np.arange(n1) + prep.cnt2[:n1]
+    pos2 = np.arange(n2) + below
+    src = np.empty(n1 + n2, dtype=np.intp)
+    src[pos1] = prep.perm1
+    src[pos2] = prep.perm2 if matched else prep.perm2 + n1
+    coef = np.empty(n1 + n2, dtype=np.int64)
+    coef[pos1], coef[pos2] = n2, -n1
+    base = np.cumsum(coef).astype(prep.ks_dtype)
+    ends = np.flatnonzero(np.bincount(prep.cnt1 + prep.cnt2)) - 1
+    diff = np.cumsum(np.take(w, src, axis=1) * coef, axis=1, dtype=prep.ks_dtype)
+    diff -= base
+    best = np.maximum(diff[:, ends].max(axis=1), 0)
+    return best * (math.sqrt(n1 * n2 / (n1 + n2)) / (n1 * n2))

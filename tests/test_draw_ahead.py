@@ -2,10 +2,11 @@
 
 ``_bootstrap_draws`` makes its ``integers`` calls on one helper thread when a
 sample takes more than one sub-chunk, and inline otherwise; KS counts each
-draw matrix (``_counts``) where it was drawn. These tests check that both give
-the same draws and leave ``rng`` in the same state, that only multi-sub-chunk
-calls start the thread, that the helper then does all of KS's counting, and
-that an exception on either side reaches the caller with no thread left behind.
+draw matrix in place (``_column_counts``) where it was drawn. These tests
+check that both give the same draws and leave ``rng`` in the same state, that
+only multi-sub-chunk calls start the thread, that the helper then does all of
+KS's counting, and that an exception on either side reaches the caller with
+no thread left behind.
 """
 
 import math
@@ -49,14 +50,15 @@ def _finishes(call, seconds=30):
 
 
 def _counting_threads(mp):
-    """Patch ``bootstrap._counts`` to record the name of each calling thread."""
-    names, counts = [], bootstrap._counts
+    """Patch ``bootstrap._column_counts`` to record the name of each calling
+    thread."""
+    names, counts = [], bootstrap._column_counts
 
     def spy(categories):
         names.append(threading.current_thread().name)
         return counts(categories)
 
-    mp.setattr(bootstrap, "_counts", spy)
+    mp.setattr(bootstrap, "_column_counts", spy)
     return names
 
 

@@ -1,11 +1,13 @@
-"""KS draws from one running sum over the merged pooled order.
+"""KS draws by a max-prefix tree over the merged pooled order.
 
-Matched pairs share one weight vector ``w``; independent samples join each
-row's x1 weights to its x2 weights. Either way the recentered KS numerator at
-every pooled point is a single running sum over both sorted samples taken
-together. These tests check the streamed engine draw for draw against the
-one-shot reduction ``oracles.ks_draws`` and against the definition, on wide
-grids where 32-bit sums would wrap, and bound its memory.
+Matched pairs share one weight vector ``w``; independent samples give each
+row its own x1 and x2 weights. Either way the recentered KS numerator at
+every pooled point is a prefix sum over both sorted samples taken together,
+and a draw is its largest value at the end of a group of tied values. These
+tests check the streamed engine draw for draw against the one-shot reduction
+``oracles.ks_draws``, against the running-sum reduction
+``oracles.ks_cumsum_reference`` and against the definition, on wide grids
+where 32-bit sums would wrap, and bound its memory.
 """
 
 import math
@@ -17,11 +19,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from domtest import BootstrapConfig, Pairing, StatKind, TwoSampleData, run_test
+from domtest import BootstrapConfig, Pairing, StatKind, TwoSampleData, bootstrap, run_test
 from domtest.bootstrap import _bootstrap_draws, _counts, _multinomial_rows, _Prepared
 from domtest.stats import _sqrt_tn
 
-from oracles import ks_draws, ks_recentered_brute
+from oracles import ks_cumsum_reference, ks_draws, ks_recentered_brute
 
 # few distinct values, so most datasets carry heavy ties
 _VALUES = st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.0])
@@ -96,6 +98,78 @@ def test_engine_equals_two_sample_reduction_and_definition(
     assert_array_equal(got, np.array(best) * (_sqrt_tn(n1, n2) / (n1 * n2)))
 
 
+@st.composite
+def _tree_case(draw):
+    """Data and weight rows whose merged width is small, or just below, at or
+    just above a multiple of the tree's 2**_TREE_LEVELS leaves."""
+    matched = draw(st.booleans())
+    leaves = 1 << bootstrap._TREE_LEVELS
+    near = [k * leaves + d for k in (1, 2) for d in (-2, -1, 0, 1, 2)]
+    width = draw(st.one_of(st.integers(2, 40), st.sampled_from(near)))
+    if matched:
+        n1 = n2 = width // 2
+    else:
+        n1 = draw(st.integers(1, width - 1))
+        n2 = width - n1
+    if draw(st.booleans()):
+        values = st.floats(-10, 10, allow_nan=False, allow_infinity=False, width=32)
+    else:
+        values = _VALUES
+    x1 = draw(st.lists(values, min_size=n1, max_size=n1))
+    x2 = draw(st.lists(values, min_size=n2, max_size=n2))
+    pairing = Pairing.MATCHED if matched else Pairing.INDEPENDENT
+    data = TwoSampleData(x1=x1, x2=x2, pairing=pairing)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))  # batch-matrix or fresh counts
+    w1 = _multinomial_rows(rng, n1, rows).astype(dtype)
+    w2 = w1 if matched else _multinomial_rows(rng, n2, rows).astype(dtype)
+    return data, w1, w2
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_tree_case())
+@example(case=(TwoSampleData(x1=[1.0], x2=[1.0], pairing=Pairing.MATCHED),
+               np.ones((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64)))
+@example(case=(TwoSampleData(x1=[2.0], x2=[-1.0]),
+               np.ones((2, 1), dtype=np.int32), np.ones((2, 1), dtype=np.int32)))
+def test_tree_equals_running_sum_and_definition(case):
+    data, w1, w2 = case
+    n1, n2 = data.n1, data.n2
+    prep = _Prepared(data)
+    got = ks_draws(prep, w1, w2)
+    assert_array_equal(got, ks_cumsum_reference(prep, w1, w2))
+    best = [ks_recentered_brute(data.x1, data.x2, r1, r2) for r1, r2 in zip(w1, w2)]
+    assert_array_equal(got, np.array(best) * (_sqrt_tn(n1, n2) / (n1 * n2)))
+
+
+def test_tied_tree_past_an_int32_sentinel():
+    # n1*n2 = 536_895_241 is just above 2**29: the counts still sum in int32,
+    # but a best prefix past the tie sentinel can reach -4*n1*n2 - 1, beyond
+    # int32, so the offsets and best prefixes switch to int64 (at n = 23170
+    # they stay int32). Rows: one seeded draw, all weight on the largest x1
+    # and the smallest x2, and the reverse.
+    below = _Prepared(TwoSampleData(x1=[0.0] * 23_170, x2=[0.0] * 23_170))
+    assert below.ks_merged[2] is np.int32
+    n = 23_171
+    rng = np.random.default_rng(11)
+    data = TwoSampleData(x1=rng.integers(0, 50, n) * 1.0, x2=rng.integers(0, 50, n) * 1.0)
+    prep = _Prepared(data)
+    assert prep.ks_dtype is np.int32 and prep.ks_merged[2] is np.int64
+    config = BootstrapConfig(num_reps=1, seed=2, statistic_kind=StatKind.KS)
+    got = _bootstrap_draws(prep, config, np.random.default_rng(2))
+    replay = np.random.default_rng(2)
+    w1 = np.zeros((3, n), dtype=np.int64)
+    w2 = np.zeros((3, n), dtype=np.int64)
+    w1[0] = _counts(replay.integers(0, n, size=(1, n)))
+    w2[0] = _counts(replay.integers(0, n, size=(1, n)))
+    w1[1, prep.perm1[-1]] = w2[1, prep.perm2[0]] = n
+    w1[2, prep.perm1[0]] = w2[2, prep.perm2[-1]] = n
+    want = ks_cumsum_reference(prep, w1, w2)
+    assert got[0] == want[0]
+    assert_array_equal(ks_draws(prep, w1.astype(np.int32), w2.astype(np.int32)), want)
+
+
 @pytest.mark.parametrize("n, dtype", [(32_767, np.int32), (40_000, np.int64)])
 def test_wide_grid_matches_int64_formula(n, dtype):
     # The recentered numerator reaches 2*n*n - 2*n: just below 2**31 at
@@ -110,7 +184,7 @@ def test_wide_grid_matches_int64_formula(n, dtype):
     w = np.zeros((2, n), dtype=np.int64)
     w[0, 0] = n
     w[1] = _multinomial_rows(np.random.default_rng(13), n, 1)[0]
-    draws = prep.ks_shared(w)
+    draws = prep.ks_shared(w.T, w.T)  # one column per row
 
     zeros = np.zeros((2, 1), dtype=np.int64)
     cum1 = np.concatenate([zeros, np.cumsum(w[:, prep.perm1], axis=1)], axis=1)
@@ -125,8 +199,8 @@ def test_wide_grid_matches_int64_formula(n, dtype):
 
 def test_matched_ks_builds_no_prefix_state(monkeypatch):
     # Both pairings build the one merged-order table. Independent samples
-    # keep a batch matrix of x1 counts (7 rows here, sub-chunks of 3);
-    # matched pairs allocate nothing with a batch's rows.
+    # keep a batch matrix of x1 counts, one column per row (7 here, sub-chunks
+    # of 3); matched pairs allocate nothing with a batch's rows.
     rng = np.random.default_rng(3)
     x1, x2 = rng.integers(0, 5, 30).astype(float), rng.integers(0, 5, 30).astype(float)
     config = BootstrapConfig(num_reps=20, seed=1, statistic_kind=StatKind.KS)
@@ -136,16 +210,16 @@ def test_matched_ks_builds_no_prefix_state(monkeypatch):
     shapes = []
 
     def recorded(shape, *args, **kwargs):
-        shapes.append(np.atleast_1d(shape)[0])
+        shapes.append(tuple(np.atleast_1d(shape)))
         return empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", recorded)
-    for pairing, batch_matrices in ((Pairing.MATCHED, 0), (Pairing.INDEPENDENT, 1)):
+    for pairing, batch_matrices in ((Pairing.MATCHED, []), (Pairing.INDEPENDENT, [(30, 7)])):
         shapes.clear()
         prep = _Prepared(TwoSampleData(x1=x1, x2=x2, pairing=pairing))
         _bootstrap_draws(prep, config, np.random.default_rng(1))
         assert "ks_merged" in vars(prep)
-        assert shapes.count(7) == batch_matrices
+        assert [shape for shape in shapes if 7 in shape] == batch_matrices
 
 
 def test_matched_ks_run_test_peak_memory():
