@@ -160,16 +160,10 @@ def _row_offsets(rows: int, width: int, dtype) -> np.ndarray:
     return np.arange(0, rows * width, width, dtype=dtype)[:, None]
 
 
-def _counts(categories: np.ndarray) -> np.ndarray:
-    """Row-wise counts of a matrix of category draws, one column per category."""
-    rows, n = categories.shape
-    flat = categories + _row_offsets(rows, n, np.int64)
-    return np.bincount(flat.ravel(), minlength=rows * n).reshape(rows, n)
-
-
 def _column_counts(categories: np.ndarray) -> np.ndarray:
-    """``_counts(categories).T`` in C order, one row per category; counts in
-    place, overwriting ``categories``, so no second draw-sized matrix is made."""
+    """Counts of a matrix of category draws, one row per category and one
+    column per row of ``categories``, in C order; counts in place, overwriting
+    ``categories``, so no second draw-sized matrix is made."""
     rows, n = categories.shape
     categories *= rows
     categories += np.arange(rows)[:, None]
@@ -178,7 +172,7 @@ def _column_counts(categories: np.ndarray) -> np.ndarray:
 
 def _categories(w: np.ndarray) -> np.ndarray:
     """Category draws with row-wise counts ``w``, in category order; each row
-    of ``w`` must sum to its length. ``_counts`` inverts it."""
+    of ``w`` must sum to its length. Their ``_column_counts`` are ``w.T``."""
     rows, n = w.shape
     return np.repeat(np.tile(np.arange(n), rows), w.ravel()).reshape(rows, n)
 
@@ -189,7 +183,7 @@ def _multinomial_rows(rng: np.random.Generator, categories: int, nrows: int) -> 
     Each row is built from ``categories`` independent uniform category draws,
     counted, which is exactly multinomial.
     """
-    return _counts(rng.integers(0, categories, size=(nrows, categories)))
+    return _column_counts(rng.integers(0, categories, size=(nrows, categories))).T
 
 
 def draw_weights(data: TwoSampleData, rng: np.random.Generator) -> BootstrapWeights:
@@ -412,11 +406,6 @@ class _Prepared:
         # copy; every index is in range.
         return np.take(head.ravel(), ranks, out=out, mode="clip")
 
-    def wmw_tail(self, head: np.ndarray, ranks: np.ndarray, center: np.ndarray, out=None):
-        excess = self.odc_tail(head, ranks, out)
-        excess -= center
-        return _wmw_sums(excess, self.n1, self.n2)
-
     def ks_shared(self, w1: np.ndarray, w2: np.ndarray, terms=None, part=None) -> np.ndarray:
         """KS draws from column counts of x1 (``w1``) and x2 (``w2``), one
         column per row; matched pairs pass their shared counts as both.
@@ -508,27 +497,28 @@ def _bootstrap_draws(
     """All bootstrap statistic draws for one test, vectorized in batches.
 
     Category draws come a batch at a time (see ``_BATCH_ELEMENTS``), all x1
-    rows before all x2 rows, and no batch of draws is ever held: each x1
-    sub-chunk is drawn and folded at once into a batch matrix, of WMW head
-    rows or of independent KS's x1 counts (one column per row). Matched pairs
-    finish those rows from the same draws; independent samples then draw each
-    x2 sub-chunk and finish its rows from the batch matrix. Matched KS keeps
-    no batch matrix: it finishes each sub-chunk's columns of counts with one
-    max-prefix tree over the merged pooled order, as independent KS does from
-    the batch matrix's x1 columns and each x2 sub-chunk's counts. ``integers``
-    takes every value from the bit generator's stream, whose half-word buffer
-    lives in the generator state, so k calls of r rows equal one call of k*r
-    rows and no draw depends on the sub-chunk size.
+    rows before all x2 rows, one sub-chunk of rows per ``integers`` call, and
+    no batch of draws is ever held. ``integers`` takes every value from the
+    bit generator's stream, whose half-word buffer lives in the generator
+    state, so k calls of r rows equal one call of k*r rows and no draw
+    depends on the sub-chunk size.
+
+    A statistic plugs in with two functions. ``ahead`` runs on each draw
+    matrix as it is drawn: WMW passes it on, KS counts it in place
+    (``_column_counts``) into columns of counts. ``step`` reduces one
+    sub-chunk and returns its draws once both samples are in. An x1 sub-chunk
+    is folded into a batch matrix (WMW head rows, or independent KS's x1
+    counts, one column per row), and each x2 sub-chunk finishes its rows from
+    that matrix. Matched pairs finish at once from the x1 sub-chunk, which
+    serves as both samples, and matched KS keeps no batch matrix.
 
     The sub-chunk draws are one stream of ``integers`` calls, known before the
     first is made (``schedule``). When a sample takes more than one sub-chunk,
-    one helper thread makes those calls in order, drawing the next sub-chunks
-    while the engine reduces the current one (``integers`` releases the GIL),
-    and only the helper touches ``rng``; KS's counting (``_column_counts``, in
-    place in the fresh draw matrix) runs there too, so the helper hands over
-    columns of counts. Otherwise the calls run inline and no
-    thread starts. Either way every draw, and ``rng``'s state after the call,
-    are the same.
+    one helper thread makes those calls in order, and ``ahead`` with each,
+    drawing the next sub-chunks while the engine reduces the current one
+    (``integers`` releases the GIL); only the helper touches ``rng``.
+    Otherwise the calls run inline and no thread starts. Either way every
+    draw, and ``rng``'s state after the call, are the same.
     """
     data = prep.data
     n1, n2 = data.n1, data.n2
@@ -537,34 +527,33 @@ def _bootstrap_draws(
     batch = max(1, min(config.num_reps, _BATCH_ELEMENTS // per_row))
     chunk = max(1, min(batch, _CHUNK_ELEMENTS // per_row))
     out = np.empty(config.num_reps, dtype=np.float64)
-    # ``schedule`` applies ``ahead`` to each draw matrix as it is drawn, on the
-    # helper thread when there is one. ``look1`` turns the result for x1 into
-    # what ``fold`` reads, plus, for matched pairs, what ``finish`` reads;
-    # ``look2`` does the finish's part for x2. Their input dies when they return.
-    # A lookup stays bound until the next one is made (independent samples drop
-    # the last x1 lookup before their x2 lookups): freed sooner, it lets the
-    # heap trim pages that the next sub-chunk faults in again. Both statistics
-    # reuse their per-chunk buffers for the whole call.
+    # ``schedule`` passes each result of ``ahead`` to ``step`` in a one-item
+    # list, its box. WMW's step pops its draw matrix from the box and drops it
+    # once its lookups are taken, before it reduces. KS's step leaves its
+    # counts in the box, which the loop holds until the next sub-chunk
+    # arrives. Both statistics reuse their per-chunk buffers for the whole call.
     if config.statistic_kind is StatKind.WMW:
         center = _screened(prep.m, n1, lambda: _variances(data), config.tau)
         head = np.empty((batch, n2 + 1), dtype=np.int32)
         hits = np.empty((chunk, n1), dtype=np.int64)
         ranks = np.empty((chunk, n2), dtype=np.int32)
         gathered = np.empty((chunk, n2), dtype=np.int32)
-        ahead = np.asarray  # no draw-side step: the lookups stay with the caller
+        ahead = np.asarray  # nothing on the helper: the lookups stay with the caller
 
-        def look1(c1):
-            found = np.take(prep.g1, c1, out=hits[: len(c1)], mode="clip")
-            return found, look2(c1) if matched else None
-
-        def look2(c2):
-            return np.take(prep.rank2, c2, out=ranks[: len(c2)], mode="clip")
-
-        def fold(lo, hi, found):
-            prep.wmw_head(found, head[lo:hi])
-
-        def finish(lo, hi, ranks_rows):
-            return prep.wmw_tail(head[lo:hi], ranks_rows, center, gathered[: hi - lo])
+        def step(lo, hi, second, box):
+            c, rows = box.pop(), hi - lo
+            if not second:
+                np.take(prep.g1, c, out=hits[:rows], mode="clip")
+            if second or matched:
+                np.take(prep.rank2, c, out=ranks[:rows], mode="clip")
+            del c
+            if not second:
+                prep.wmw_head(hits[:rows], head[lo:hi])
+            if not (second or matched):
+                return None
+            excess = prep.odc_tail(head[lo:hi], ranks[:rows], gathered[:rows])
+            excess -= center
+            return _wmw_sums(excess, n1, n2)
 
     else:
         # Column layout: one row per observation or tree slot, one column per
@@ -578,19 +567,16 @@ def _bootstrap_draws(
         terms, part = space[: height * chunk], space[height * chunk :]
         if not matched:
             head = np.empty((n1, batch), dtype=np.int32)  # the batch's x1 counts
-        ahead, look2 = _column_counts, np.asarray  # counted where drawn
+        ahead = _column_counts  # counted where drawn
 
-        def look1(w):
-            return w, w if matched else None
-
-        def fold(lo, hi, w1):
-            if not matched:
-                head[:, lo:hi] = w1
-
-        def finish(lo, hi, w2):
+        def step(lo, hi, second, box):
+            (w,) = box
+            if not (second or matched):
+                head[:, lo:hi] = w
+                return None
             rows = hi - lo
             return prep.ks_shared(
-                w2 if matched else head[:, lo:hi], w2,
+                w if matched else head[:, lo:hi], w,
                 terms[: height * rows].reshape(height, rows),
                 part[: src.size * rows].reshape(src.size, rows),
             )
@@ -604,23 +590,15 @@ def _bootstrap_draws(
             for second, n in enumerate(samples):
                 for lo in range(0, rows, chunk):
                     hi = min(lo + chunk, rows)
-                    yield done, lo, hi, second, ahead(rng.integers(0, n, size=(hi - lo, n)))
+                    yield done, lo, hi, second, [ahead(rng.integers(0, n, size=(hi - lo, n)))]
 
     draws = schedule()
     if config.num_reps > chunk:  # more than one sub-chunk per sample
         draws = _drawn_ahead(draws)
     try:
-        for done, lo, hi, second, c in draws:
-            if second:
-                x1 = None
-                x2 = look2(c)
-                del c
-            else:
-                x1, x2 = look1(c)
-                del c
-                fold(lo, hi, x1)
-            if second or matched:
-                out[done + lo : done + hi] = finish(lo, hi, x2)
+        for done, lo, hi, second, box in draws:
+            if (got := step(lo, hi, second, box)) is not None:
+                out[done + lo : done + hi] = got
     finally:
         draws.close()
     return out

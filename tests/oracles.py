@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from domtest import Pairing, empirical_odc, variance_profile
-from domtest.bootstrap import _categories
+from domtest.bootstrap import _categories, _wmw_sums
 from domtest.limitdist import _pinned_walk
 from domtest.odc import _as_sample, _check_int, _quantile_rank
 from domtest.simulate import _gaussian_copula
@@ -30,6 +30,11 @@ from domtest.simulate import _gaussian_copula
 
 def ecdf_brute(sample, x):
     return sum(1 for s in sample if s <= x) / len(sample)
+
+
+def row_counts(categories, n):
+    """Per-row counts of a matrix of category draws in ``range(n)``."""
+    return np.array([np.bincount(row, minlength=n) for row in categories], dtype=np.int64)
 
 
 def weighted_ecdf_brute(values, weights, x):
@@ -386,7 +391,8 @@ def wmw_draws(prep, w1, w2, keep):
         center = np.full_like(prep.m, prep.n1)
         center[keep] = prep.m[keep]
     head = prep.wmw_head(prep.g1[_categories(w1)])
-    return prep.wmw_tail(head, prep.rank2[_categories(w2)], center)
+    excess = prep.odc_tail(head, prep.rank2[_categories(w2)])
+    return _wmw_sums(excess - center, prep.n1, prep.n2)
 
 
 def ks_draws(prep, w1, w2):

@@ -24,7 +24,7 @@ from domtest import (
     variance_profile,
 )
 from domtest.bootstrap import (
-    _Prepared, _bootstrap_draws, _copula_diag, _counts, _multinomial_rows,
+    _Prepared, _bootstrap_draws, _copula_diag, _multinomial_rows,
 )
 from domtest.cli import emit_report
 from domtest.odc import _pair_counts
@@ -39,6 +39,7 @@ from oracles import (
     kept_columns,
     ks_draws,
     multinomial_prob,
+    row_counts,
     vhat_brute,
     wmw_draws,
 )
@@ -74,11 +75,20 @@ class TestDrawWeights:
             assert_array_equal(w.w1, w.w2)
 
     def test_fixed_seed_reproducible(self):
-        data = TwoSampleData(x1=np.arange(5.0), x2=np.arange(5.0) + 0.5)
-        first = draw_weights(data, np.random.default_rng(1234))
-        second = draw_weights(data, np.random.default_rng(1234))
-        assert_array_equal(first.w1, second.w1)
-        assert_array_equal(first.w2, second.w2)
+        # The weights count one ``integers(0, n, size=(1, n))`` call per
+        # sample, x1 then x2; matched pairs share one call.
+        for pairing, n2 in [(Pairing.INDEPENDENT, 7), (Pairing.MATCHED, 5)]:
+            data = TwoSampleData(x1=np.arange(5.0), x2=np.arange(n2) + 0.5, pairing=pairing)
+            first = draw_weights(data, np.random.default_rng(1234))
+            second = draw_weights(data, np.random.default_rng(1234))
+            assert_array_equal(first.w1, second.w1)
+            assert_array_equal(first.w2, second.w2)
+            replay = np.random.default_rng(1234)
+            w1 = w2 = np.bincount(replay.integers(0, 5, size=(1, 5))[0], minlength=5)
+            if pairing is Pairing.INDEPENDENT:
+                w2 = np.bincount(replay.integers(0, n2, size=(1, n2))[0], minlength=n2)
+            assert_array_equal(first.w1, w1)
+            assert_array_equal(first.w2, w2)
 
     def test_counts_are_multinomial(self):
         # mean count per category is 1; variance (n-1)/n
@@ -731,7 +741,7 @@ def test_infinite_tau_reproduces_standard_draws(data, num_reps, seed):
     # One batch at these sizes: all x1 rows, then (independent) all x2 rows.
     c1 = replay.integers(0, data.n1, size=(num_reps, data.n1))
     c2 = c1 if matched else replay.integers(0, data.n2, size=(num_reps, data.n2))
-    w1, w2 = _counts(c1), _counts(c2)
+    w1, w2 = row_counts(c1, data.n1), row_counts(c2, data.n2)
     base = empirical_odc(data)
     v = variance_profile(data)
     standard = []

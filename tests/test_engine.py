@@ -3,11 +3,13 @@
 ``run_test`` reduces raw category draws (row r resamples ``x1[c1[r]]`` and
 ``x2[c2[r]]``) without building count matrices. These tests check it draw
 for draw against ``oracles.wmw_draws_reference``, which works from the
-per-row counts of the same draws, and bound the engine's peak memory.
+per-row counts of the same draws, bound the engine's peak memory and check
+how long it keeps each draw matrix.
 """
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,19 +18,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from domtest import BootstrapConfig, Pairing, StatKind, TwoSampleData, run_test
-from domtest.bootstrap import _bootstrap_draws, _categories, _counts, _Prepared
+from domtest.bootstrap import _bootstrap_draws, _categories, _column_counts, _Prepared
 
 from oracles import (
-    kept_columns, ks_draws, odc_counts_reference, wmw_draws, wmw_draws_reference,
+    kept_columns, ks_draws, odc_counts_reference, row_counts, wmw_draws, wmw_draws_reference,
 )
 
 # few distinct values, so most datasets carry heavy ties
 _VALUES = st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.0])
 _TAUS = st.sampled_from([math.inf, 0.75, 0.3])
-
-
-def _row_counts(categories, n):
-    return np.array([np.bincount(row, minlength=n) for row in categories], dtype=np.int64)
 
 
 @st.composite
@@ -73,7 +71,7 @@ def test_draw_indexed_rows_equal_count_reference(case, tau):
     data, c1, c2 = case
     prep = _Prepared(data)
     keep = kept_columns(data, tau)
-    w1, w2 = _row_counts(c1, data.n1), _row_counts(c2, data.n2)
+    w1, w2 = row_counts(c1, data.n1), row_counts(c2, data.n2)
     want_odc, _ = odc_counts_reference(data.x1, data.x2, w1, w2)
     assert_array_equal(prep.odc_tail(prep.wmw_head(prep.g1[c1]), prep.rank2[c2]), want_odc)
     want = wmw_draws_reference(data.x1, data.x2, w1, w2, keep)
@@ -88,12 +86,12 @@ def test_draw_indexed_rows_equal_count_reference(case, tau):
 )
 def test_categories_round_trip_through_bincount(n, rows, seed):
     draws = np.random.default_rng(seed).integers(0, n, size=(rows, n))
-    w = _row_counts(draws, n)
-    assert_array_equal(_counts(draws), w)
+    w = row_counts(draws, n)
+    assert_array_equal(_column_counts(draws.copy()).T, w)
     categories = _categories(w)
     assert categories.shape == (rows, n)
     assert_array_equal(categories, np.sort(draws, axis=1))
-    assert_array_equal(_counts(categories), w)
+    assert_array_equal(_column_counts(categories).T, w)
 
 
 @pytest.mark.parametrize("pairing", [Pairing.INDEPENDENT, Pairing.MATCHED])
@@ -121,7 +119,7 @@ def test_engine_replays_the_draw_schedule(monkeypatch, pairing, kind):
         rows = min(7, 30 - done)
         c1 = replay.integers(0, n1, size=(rows, n1))
         c2 = c1 if pairing is Pairing.MATCHED else replay.integers(0, n2, size=(rows, n2))
-        w1, w2 = _row_counts(c1, n1), _row_counts(c2, n2)
+        w1, w2 = row_counts(c1, n1), row_counts(c2, n2)
         if kind is StatKind.WMW:
             keep = kept_columns(data, 0.75)
             want.append(wmw_draws_reference(data.x1, data.x2, w1, w2, keep))
@@ -187,13 +185,73 @@ def test_run_test_holds_no_batch_of_draws(kind, pairing):
     assert peak <= 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
+class _WeakRng:
+    """A generator whose ``integers`` keeps a weak reference to each draw
+    matrix it returns, and notes how many earlier ones are alive at each call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.drawn, self.alive_at_draws = [], []
+
+    def integers(self, low, high, size):
+        self.alive_at_draws.append(_alive(self.drawn))
+        c = self.rng.integers(low, high, size=size)
+        self.drawn.append(weakref.ref(c))
+        return c
+
+
+def _alive(refs):
+    return sum(ref() is not None for ref in refs)
+
+
+@pytest.mark.parametrize("pairing", [Pairing.INDEPENDENT, Pairing.MATCHED])
+@pytest.mark.parametrize("kind", [StatKind.WMW, StatKind.KS])
+def test_draw_matrices_are_released_by_their_reduction(monkeypatch, pairing, kind):
+    # Sub-chunks of 6 rows, drawn inline so that every draw and reduction runs
+    # in a fixed order on this thread. No draw matrix outlives its step: WMW's
+    # is gone before it reduces, and KS holds exactly the count matrix of the
+    # columns its tree reduces.
+    monkeypatch.setattr("domtest.bootstrap._drawn_ahead", lambda stream: stream)
+    monkeypatch.setattr("domtest.bootstrap._CHUNK_ELEMENTS", 400)
+    rng = np.random.default_rng(6)
+    data = TwoSampleData(x1=rng.random(30), x2=rng.random(30), pairing=pairing)
+    counted, alive_at_reduce = [], []
+
+    def counting(categories):
+        w = _column_counts(categories)
+        counted.append(weakref.ref(w))
+        return w
+
+    monkeypatch.setattr("domtest.bootstrap._column_counts", counting)
+    rng_spy = _WeakRng(7)
+
+    def spying(method, refs):
+        original = getattr(_Prepared, method)
+
+        def spy(self, *args, **kwargs):
+            alive_at_reduce.append(_alive(refs))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Prepared, method, spy)
+
+    spying("wmw_head", rng_spy.drawn)
+    spying("odc_tail", rng_spy.drawn)
+    spying("ks_shared", counted)
+    config = BootstrapConfig(num_reps=40, statistic_kind=kind)
+    _bootstrap_draws(_Prepared(data), config, rng_spy)
+    # 7 sub-chunks per sample; each x1 sub-chunk makes one WMW head, each
+    # finished sub-chunk one WMW tail or one KS tree.
+    assert rng_spy.alive_at_draws == [0] * (7 if pairing is Pairing.MATCHED else 14)
+    assert alive_at_reduce == ([0] * 14 if kind is StatKind.WMW else [1] * 7)
+
+
 def test_prepared_builds_only_what_its_statistic_reads():
     data = TwoSampleData(x1=[0.5, 2.0, 1.0], x2=[1.0, 3.0])
     c1, c2 = np.array([[0, 0, 2]]), np.array([[1, 0]])
     wmw = _Prepared(data)
     wmw.odc_tail(wmw.wmw_head(wmw.g1[c1]), wmw.rank2[c2])
     ks = _Prepared(data)
-    ks_draws(ks, _counts(c1), _counts(c2))
+    ks_draws(ks, row_counts(c1, 3), row_counts(c2, 2))
     assert {"g1", "rank2"} <= vars(wmw).keys()
     assert "ks_merged" not in vars(wmw)
     assert "ks_merged" in vars(ks)

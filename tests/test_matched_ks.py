@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from domtest import BootstrapConfig, Pairing, StatKind, TwoSampleData, bootstrap, run_test
-from domtest.bootstrap import _bootstrap_draws, _counts, _multinomial_rows, _Prepared
+from domtest.bootstrap import _bootstrap_draws, _multinomial_rows, _Prepared
 from domtest.stats import _sqrt_tn
 
-from oracles import ks_cumsum_reference, ks_draws, ks_recentered_brute
+from oracles import ks_cumsum_reference, ks_draws, ks_recentered_brute, row_counts
 
 # few distinct values, so most datasets carry heavy ties
 _VALUES = st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.0])
@@ -90,8 +90,8 @@ def test_engine_equals_two_sample_reduction_and_definition(
     w1, w2 = [], []
     for done in range(0, num_reps, batch):
         rows = min(batch, num_reps - done)
-        w1.append(_counts(replay.integers(0, n1, size=(rows, n1))))
-        w2.append(w1[-1] if matched else _counts(replay.integers(0, n2, size=(rows, n2))))
+        w1.append(row_counts(replay.integers(0, n1, size=(rows, n1)), n1))
+        w2.append(w1[-1] if matched else row_counts(replay.integers(0, n2, size=(rows, n2)), n2))
     w1, w2 = np.concatenate(w1), np.concatenate(w2)
     assert_array_equal(got, ks_draws(_Prepared(data), w1, w2))
     best = [ks_recentered_brute(data.x1, data.x2, r1, r2) for r1, r2 in zip(w1, w2)]
@@ -161,8 +161,8 @@ def test_tied_tree_past_an_int32_sentinel():
     replay = np.random.default_rng(2)
     w1 = np.zeros((3, n), dtype=np.int64)
     w2 = np.zeros((3, n), dtype=np.int64)
-    w1[0] = _counts(replay.integers(0, n, size=(1, n)))
-    w2[0] = _counts(replay.integers(0, n, size=(1, n)))
+    w1[0] = row_counts(replay.integers(0, n, size=(1, n)), n)
+    w2[0] = row_counts(replay.integers(0, n, size=(1, n)), n)
     w1[1, prep.perm1[-1]] = w2[1, prep.perm2[0]] = n
     w1[2, prep.perm1[0]] = w2[2, prep.perm2[-1]] = n
     want = ks_cumsum_reference(prep, w1, w2)
