@@ -209,7 +209,9 @@ def bootstrap_odc(data: TwoSampleData, weights: BootstrapWeights) -> OdcCurve:
         raise ValueError("weight lengths do not match the sample sizes")
     c1, c2 = _categories(weights.w1[None]), _categories(weights.w2[None])
     prep = _Prepared(data)
-    counts = prep.odc_tail(prep.wmw_head(prep.g1[c1]), prep.rank2[c2])[0]
+    ranks = prep.rank2[c2]
+    ranks.sort(axis=1)
+    counts = prep.odc_tail(prep.wmw_head(prep.g1[c1]), ranks)[0]
     return OdcCurve(values=counts / data.n1, n1=data.n1, n2=data.n2)
 
 
@@ -396,15 +398,16 @@ class _Prepared:
         hist = np.bincount(hits.ravel(), minlength=rows * width).reshape(rows, width)
         return np.cumsum(hist, axis=1, dtype=np.int32, out=out)
 
-    def odc_tail(self, head: np.ndarray, ranks: np.ndarray, out=None) -> np.ndarray:
+    def odc_tail(self, head: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         """Bootstrap ODC numerators from ``wmw_head`` rows and the ranks
-        ``rank2[c2]`` of x2 category draws ``c2`` (sorted in place)."""
-        # The i-th smallest resampled x2 is then sorted x2 number ranks[r, i].
-        ranks.sort(axis=1)
+        ``rank2[c2]`` of x2 category draws ``c2``, each row sorted: the i-th
+        smallest resampled x2 is sorted x2 number ``ranks[r, i]``. The
+        numerators are written over ``ranks``, which is returned."""
         ranks += _row_offsets(*head.shape, ranks.dtype)
-        # mode="clip" lets ``take`` write into ``out`` without buffering a
-        # copy; every index is in range.
-        return np.take(head.ravel(), ranks, out=out, mode="clip")
+        # ``take`` reads each index before it writes that place of ``out``
+        # (int32 indices are first converted to intp), and mode="clip" lets
+        # it write there without buffering a copy; every index is in range.
+        return np.take(head.ravel(), ranks, out=ranks, mode="clip")
 
     def ks_shared(self, w1: np.ndarray, w2: np.ndarray, terms=None, part=None) -> np.ndarray:
         """KS draws from column counts of x1 (``w1``) and x2 (``w2``), one
@@ -455,6 +458,14 @@ def _drawn_ahead(stream):
     """Yield the items of the iterator ``stream``, which one helper thread
     advances at most two items ahead of the caller.
 
+    Each item of ``stream`` comes with work still to do: it is a function of
+    no arguments that returns the finished item. The helper calls it only when
+    the one-place queue is still full, so that it would otherwise wait in
+    ``put`` while the caller works on the item before; otherwise it hands the
+    function over at once, and the caller calls it (``callable``). So each
+    item is finished exactly once, on whichever thread is free; the check of
+    the queue is a guess about load, and either answer gives the same item.
+
     Only the helper advances ``stream``, and an exception it raises is raised
     at the caller's matching ``next``. Each item passes in a one-item list that
     the caller empties, so once yielded it is held by the caller alone.
@@ -465,7 +476,9 @@ def _drawn_ahead(stream):
 
     def produce():
         try:
-            for item in stream:
+            for work in stream:
+                item = work() if ready.full() else work
+                del work  # a finished item drops its inputs here
                 ready.put([item])
                 del item
                 if stop.is_set():
@@ -503,22 +516,26 @@ def _bootstrap_draws(
     state, so k calls of r rows equal one call of k*r rows and no draw
     depends on the sub-chunk size.
 
-    A statistic plugs in with two functions. ``ahead`` runs on each draw
-    matrix as it is drawn: WMW passes it on, KS counts it in place
-    (``_column_counts``) into columns of counts. ``step`` reduces one
-    sub-chunk and returns its draws once both samples are in. An x1 sub-chunk
-    is folded into a batch matrix (WMW head rows, or independent KS's x1
-    counts, one column per row), and each x2 sub-chunk finishes its rows from
-    that matrix. Matched pairs finish at once from the x1 sub-chunk, which
-    serves as both samples, and matched KS keeps no batch matrix.
+    A statistic plugs in with two functions. ``ahead(slot, second, c)`` runs
+    once on each draw matrix ``c``, and the draw matrix is dropped after it:
+    WMW looks the draws up (``g1`` for x1, ``rank2`` plus the row sort for x2,
+    both for matched pairs) into slot ``slot`` of its per-call buffers, and KS
+    counts them in place (``_column_counts``) into columns of counts. ``step``
+    reduces one sub-chunk and returns its draws once both samples are in. An
+    x1 sub-chunk is folded into a batch matrix (WMW head rows, or independent
+    KS's x1 counts, one column per row), and each x2 sub-chunk finishes its
+    rows from that matrix. Matched pairs finish at once from the x1 sub-chunk,
+    which serves as both samples, and matched KS keeps no batch matrix.
 
     The sub-chunk draws are one stream of ``integers`` calls, known before the
-    first is made (``schedule``). When a sample takes more than one sub-chunk,
-    one helper thread makes those calls in order, and ``ahead`` with each,
-    drawing the next sub-chunks while the engine reduces the current one
-    (``integers`` releases the GIL); only the helper touches ``rng``.
-    Otherwise the calls run inline and no thread starts. Either way every
-    draw, and ``rng``'s state after the call, are the same.
+    first is made (``schedule``), each yielded with its ``ahead`` still to
+    apply. When a sample takes more than one sub-chunk, one helper thread
+    makes those calls in order, drawing the next sub-chunks while the engine
+    reduces the current one (``integers`` releases the GIL), and ``ahead``
+    runs on the helper or the caller by load (see ``_drawn_ahead``); only the
+    helper touches ``rng``. Otherwise the calls and ``ahead`` run inline and
+    no thread starts. Either way every draw, and ``rng``'s state after the
+    call, are the same.
     """
     data = prep.data
     n1, n2 = data.n1, data.n2
@@ -526,32 +543,44 @@ def _bootstrap_draws(
     per_row = n1 + n2
     batch = max(1, min(config.num_reps, _BATCH_ELEMENTS // per_row))
     chunk = max(1, min(batch, _CHUNK_ELEMENTS // per_row))
+    drawn_ahead = config.num_reps > chunk  # more than one sub-chunk per sample
+    # Items in flight: one at the caller, one in the helper's queue and one on
+    # the helper; ``ahead`` writes item i into slot i % slots.
+    slots = 3 if drawn_ahead else 1
     out = np.empty(config.num_reps, dtype=np.float64)
-    # ``schedule`` passes each result of ``ahead`` to ``step`` in a one-item
-    # list, its box. WMW's step pops its draw matrix from the box and drops it
-    # once its lookups are taken, before it reduces. KS's step leaves its
-    # counts in the box, which the loop holds until the next sub-chunk
-    # arrives. Both statistics reuse their per-chunk buffers for the whole call.
+    # Both statistics reuse their per-chunk buffers for the whole call.
     if config.statistic_kind is StatKind.WMW:
         center = _screened(prep.m, n1, lambda: _variances(data), config.tau)
+        # Built here, before any helper starts: ``ahead`` may run on either
+        # thread, and ``cached_property`` takes no lock from Python 3.12 on.
+        g1, rank2 = prep.g1, prep.rank2
         head = np.empty((batch, n2 + 1), dtype=np.int32)
-        hits = np.empty((chunk, n1), dtype=np.int64)
-        ranks = np.empty((chunk, n2), dtype=np.int32)
-        gathered = np.empty((chunk, n2), dtype=np.int32)
-        ahead = np.asarray  # nothing on the helper: the lookups stay with the caller
+        # A slot holds one item's lookups in int64 words: the hits of x1
+        # draws, the int32 ranks of x2 draws, or for matched pairs both, the
+        # ranks after the hits.
+        hit_words, rank_words = chunk * n1, -(-chunk * n2 // 2)
+        size = hit_words + rank_words if matched else max(hit_words, rank_words)
+        words = np.empty((slots, size), dtype=np.int64)
 
-        def step(lo, hi, second, box):
-            c, rows = box.pop(), hi - lo
+        def ahead(slot, second, c):
+            rows, x1, x2 = len(c), None, None
             if not second:
-                np.take(prep.g1, c, out=hits[:rows], mode="clip")
+                x1 = words[slot, : rows * n1].reshape(rows, n1)
+                np.take(g1, c, out=x1, mode="clip")
             if second or matched:
-                np.take(prep.rank2, c, out=ranks[:rows], mode="clip")
-            del c
-            if not second:
-                prep.wmw_head(hits[:rows], head[lo:hi])
-            if not (second or matched):
+                x2 = words[slot, hit_words if matched else 0 :].view(np.int32)
+                x2 = x2[: rows * n2].reshape(rows, n2)
+                np.take(rank2, c, out=x2, mode="clip")
+                x2.sort(axis=1)
+            return x1, x2
+
+        def step(lo, hi, second, looked):
+            x1, x2 = looked
+            if x1 is not None:
+                prep.wmw_head(x1, head[lo:hi])
+            if x2 is None:
                 return None
-            excess = prep.odc_tail(head[lo:hi], ranks[:rows], gathered[:rows])
+            excess = prep.odc_tail(head[lo:hi], x2)
             excess -= center
             return _wmw_sums(excess, n1, n2)
 
@@ -567,10 +596,11 @@ def _bootstrap_draws(
         terms, part = space[: height * chunk], space[height * chunk :]
         if not matched:
             head = np.empty((n1, batch), dtype=np.int32)  # the batch's x1 counts
-        ahead = _column_counts  # counted where drawn
 
-        def step(lo, hi, second, box):
-            (w,) = box
+        def ahead(slot, second, c):
+            return _column_counts(c)  # counted in place
+
+        def step(lo, hi, second, w):
             if not (second or matched):
                 head[:, lo:hi] = w
                 return None
@@ -583,22 +613,35 @@ def _bootstrap_draws(
 
     samples = (n1,) if matched else (n1, n2)
 
+    def finish(done, lo, hi, second, slot, c):
+        return done, lo, hi, second, ahead(slot, second, c)
+
     def schedule():
-        # Per batch: the x1 sub-chunks, then the x2 sub-chunks for independent samples.
+        # Per batch: the x1 sub-chunks, then the x2 sub-chunks for independent
+        # samples. Each draw matrix goes straight into its item, so this frame
+        # holds none.
+        slot = 0
         for done in range(0, config.num_reps, batch):
             rows = min(batch, config.num_reps - done)
             for second, n in enumerate(samples):
                 for lo in range(0, rows, chunk):
                     hi = min(lo + chunk, rows)
-                    yield done, lo, hi, second, [ahead(rng.integers(0, n, size=(hi - lo, n)))]
+                    yield functools.partial(
+                        finish, done, lo, hi, second, slot, rng.integers(0, n, size=(hi - lo, n))
+                    )
+                    slot = (slot + 1) % slots
 
-    draws = schedule()
-    if config.num_reps > chunk:  # more than one sub-chunk per sample
-        draws = _drawn_ahead(draws)
+    draws = _drawn_ahead(schedule()) if drawn_ahead else schedule()
     try:
-        for done, lo, hi, second, box in draws:
-            if (got := step(lo, hi, second, box)) is not None:
+        for item in draws:
+            if callable(item):  # handed over with ``ahead`` still to run
+                item = item()
+            done, lo, hi, second, looked = item
+            if (got := step(lo, hi, second, looked)) is not None:
                 out[done + lo : done + hi] = got
+            # Keep no count matrix while the next item's ``ahead`` runs here:
+            # one more cost about 470 minor faults per matched KS call at n = 2000.
+            del item, looked
     finally:
         draws.close()
     return out

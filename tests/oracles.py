@@ -391,7 +391,7 @@ def wmw_draws(prep, w1, w2, keep):
         center = np.full_like(prep.m, prep.n1)
         center[keep] = prep.m[keep]
     head = prep.wmw_head(prep.g1[_categories(w1)])
-    excess = prep.odc_tail(head, prep.rank2[_categories(w2)])
+    excess = prep.odc_tail(head, np.sort(prep.rank2[_categories(w2)]))
     return _wmw_sums(excess - center, prep.n1, prep.n2)
 
 

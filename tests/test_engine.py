@@ -73,7 +73,7 @@ def test_draw_indexed_rows_equal_count_reference(case, tau):
     keep = kept_columns(data, tau)
     w1, w2 = row_counts(c1, data.n1), row_counts(c2, data.n2)
     want_odc, _ = odc_counts_reference(data.x1, data.x2, w1, w2)
-    assert_array_equal(prep.odc_tail(prep.wmw_head(prep.g1[c1]), prep.rank2[c2]), want_odc)
+    assert_array_equal(prep.odc_tail(prep.wmw_head(prep.g1[c1]), np.sort(prep.rank2[c2])), want_odc)
     want = wmw_draws_reference(data.x1, data.x2, w1, w2, keep)
     assert_array_equal(wmw_draws(prep, w1, w2, keep), want)
 
@@ -249,7 +249,7 @@ def test_prepared_builds_only_what_its_statistic_reads():
     data = TwoSampleData(x1=[0.5, 2.0, 1.0], x2=[1.0, 3.0])
     c1, c2 = np.array([[0, 0, 2]]), np.array([[1, 0]])
     wmw = _Prepared(data)
-    wmw.odc_tail(wmw.wmw_head(wmw.g1[c1]), wmw.rank2[c2])
+    wmw.odc_tail(wmw.wmw_head(wmw.g1[c1]), np.sort(wmw.rank2[c2]))
     ks = _Prepared(data)
     ks_draws(ks, row_counts(c1, 3), row_counts(c2, 2))
     assert {"g1", "rank2"} <= vars(wmw).keys()
