@@ -298,6 +298,8 @@ def critical_value(draws, alpha: float) -> float:
     arr = np.asarray(draws, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise ValueError("need at least one bootstrap draw")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("bootstrap draws must be finite")
     if not (0.0 < alpha < 0.5):
         raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
     n = arr.size
@@ -516,16 +518,16 @@ def _bootstrap_draws(
     state, so k calls of r rows equal one call of k*r rows and no draw
     depends on the sub-chunk size.
 
-    A statistic plugs in with two functions. ``ahead(slot, second, c)`` runs
-    once on each draw matrix ``c``, and the draw matrix is dropped after it:
-    WMW looks the draws up (``g1`` for x1, ``rank2`` plus the row sort for x2,
-    both for matched pairs) into slot ``slot`` of its per-call buffers, and KS
-    counts them in place (``_column_counts``) into columns of counts. ``step``
-    reduces one sub-chunk and returns its draws once both samples are in. An
-    x1 sub-chunk is folded into a batch matrix (WMW head rows, or independent
-    KS's x1 counts, one column per row), and each x2 sub-chunk finishes its
-    rows from that matrix. Matched pairs finish at once from the x1 sub-chunk,
-    which serves as both samples, and matched KS keeps no batch matrix.
+    A statistic plugs in with two functions. ``ahead(second, c)`` runs once on
+    each draw matrix ``c`` and works in place on it: WMW writes its lookups
+    over the draws (``g1`` for x1, ``rank2`` plus the row sort for x2; matched
+    pairs take the ranks into a new array before the hits), and KS counts them
+    (``_column_counts``) into columns of counts. ``step`` reduces one sub-chunk
+    and returns its draws once both samples are in. An x1 sub-chunk is folded
+    into a batch matrix (WMW head rows, or independent KS's x1 counts, one
+    column per row), and each x2 sub-chunk finishes its rows from that matrix.
+    Matched pairs finish at once from the x1 sub-chunk, which serves as both
+    samples, and matched KS keeps no batch matrix.
 
     The sub-chunk draws are one stream of ``integers`` calls, known before the
     first is made (``schedule``), each yielded with its ``ahead`` still to
@@ -544,34 +546,27 @@ def _bootstrap_draws(
     batch = max(1, min(config.num_reps, _BATCH_ELEMENTS // per_row))
     chunk = max(1, min(batch, _CHUNK_ELEMENTS // per_row))
     drawn_ahead = config.num_reps > chunk  # more than one sub-chunk per sample
-    # Items in flight: one at the caller, one in the helper's queue and one on
-    # the helper; ``ahead`` writes item i into slot i % slots.
-    slots = 3 if drawn_ahead else 1
     out = np.empty(config.num_reps, dtype=np.float64)
-    # Both statistics reuse their per-chunk buffers for the whole call.
+    # Each ``ahead`` works in place on its own draw matrix, and the batch
+    # matrix and KS's tree buffers are reused for the whole call.
     if config.statistic_kind is StatKind.WMW:
         center = _screened(prep.m, n1, lambda: _variances(data), config.tau)
         # Built here, before any helper starts: ``ahead`` may run on either
         # thread, and ``cached_property`` takes no lock from Python 3.12 on.
         g1, rank2 = prep.g1, prep.rank2
         head = np.empty((batch, n2 + 1), dtype=np.int32)
-        # A slot holds one item's lookups in int64 words: the hits of x1
-        # draws, the int32 ranks of x2 draws, or for matched pairs both, the
-        # ranks after the hits.
-        hit_words, rank_words = chunk * n1, -(-chunk * n2 // 2)
-        size = hit_words + rank_words if matched else max(hit_words, rank_words)
-        words = np.empty((slots, size), dtype=np.int64)
 
-        def ahead(slot, second, c):
-            rows, x1, x2 = len(c), None, None
-            if not second:
-                x1 = words[slot, : rows * n1].reshape(rows, n1)
-                np.take(g1, c, out=x1, mode="clip")
+        def ahead(second, c):
+            # Lookups overwrite ``c``: ``take`` reads each index before it writes
+            # that place of ``out``, and int32 rank p lands in word p // 2, already
+            # read. Matched pairs need both, so their ranks go to a new array first.
+            x1 = x2 = None
             if second or matched:
-                x2 = words[slot, hit_words if matched else 0 :].view(np.int32)
-                x2 = x2[: rows * n2].reshape(rows, n2)
-                np.take(rank2, c, out=x2, mode="clip")
+                front = None if matched else c.ravel().view(np.int32)[: c.size].reshape(c.shape)
+                x2 = np.take(rank2, c, out=front, mode="clip")
                 x2.sort(axis=1)
+            if not second:
+                x1 = np.take(g1, c, out=c, mode="clip")
             return x1, x2
 
         def step(lo, hi, second, looked):
@@ -597,8 +592,8 @@ def _bootstrap_draws(
         if not matched:
             head = np.empty((n1, batch), dtype=np.int32)  # the batch's x1 counts
 
-        def ahead(slot, second, c):
-            return _column_counts(c)  # counted in place
+        def ahead(second, c):
+            return _column_counts(c)
 
         def step(lo, hi, second, w):
             if not (second or matched):
@@ -613,23 +608,21 @@ def _bootstrap_draws(
 
     samples = (n1,) if matched else (n1, n2)
 
-    def finish(done, lo, hi, second, slot, c):
-        return done, lo, hi, second, ahead(slot, second, c)
+    def finish(done, lo, hi, second, c):
+        return done, lo, hi, second, ahead(second, c)
 
     def schedule():
         # Per batch: the x1 sub-chunks, then the x2 sub-chunks for independent
         # samples. Each draw matrix goes straight into its item, so this frame
         # holds none.
-        slot = 0
         for done in range(0, config.num_reps, batch):
             rows = min(batch, config.num_reps - done)
             for second, n in enumerate(samples):
                 for lo in range(0, rows, chunk):
                     hi = min(lo + chunk, rows)
                     yield functools.partial(
-                        finish, done, lo, hi, second, slot, rng.integers(0, n, size=(hi - lo, n))
+                        finish, done, lo, hi, second, rng.integers(0, n, size=(hi - lo, n))
                     )
-                    slot = (slot + 1) % slots
 
     draws = _drawn_ahead(schedule()) if drawn_ahead else schedule()
     try:
@@ -639,8 +632,8 @@ def _bootstrap_draws(
             done, lo, hi, second, looked = item
             if (got := step(lo, hi, second, looked)) is not None:
                 out[done + lo : done + hi] = got
-            # Keep no count matrix while the next item's ``ahead`` runs here:
-            # one more cost about 470 minor faults per matched KS call at n = 2000.
+            # Keep no draw matrix while the next item's ``ahead`` runs here: one
+            # more cost about 470 minor faults per matched KS call at n = 2000.
             del item, looked
     finally:
         draws.close()

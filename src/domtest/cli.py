@@ -99,7 +99,11 @@ def parse_csv(source, paired: bool = False) -> TwoSampleData:
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return parse_csv(fh, paired=paired)
-    rows = list(csv.reader(source))
+    reader = csv.reader(source)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     start = 1 if rows and not any(map(_is_number, rows[0])) else 0
     try:
         x1, x2 = _bulk_columns(rows[start:], paired)

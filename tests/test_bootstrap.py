@@ -344,6 +344,15 @@ class TestCriticalValue:
         with pytest.raises(ValueError):
             critical_value([1.0], 0.6)
 
+    @pytest.mark.parametrize(
+        "draws",
+        [[np.nan, 1.0, 2.0, 3.0], [np.nan] * 3 + [1.0], [1.0, np.inf, 2.0], [-np.inf, 1.0]],
+    )
+    def test_non_finite_draws_rejected(self, draws):
+        # a nan sorts last in the partition, so it could be taken as the value
+        with pytest.raises(ValueError, match="finite"):
+            critical_value(draws, 0.3)
+
     def test_differs_from_the_limit_quantile_rule_on_the_grid(self):
         # At alpha = c/N the upper quantile is the (N-c)-th smallest draw, one
         # below limit_quantiles' rule at 1 - alpha; a statistic between the two

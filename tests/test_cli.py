@@ -336,6 +336,16 @@ class TestMain:
         assert main(["test", "--input", path]) == 3
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["test", "odc"])
+    def test_over_long_cell_exits_3(self, tmp_path, capsys, command):
+        # a cell past csv.field_size_limit() (131072 characters by default)
+        path = _write(tmp_path, "long.csv", "1,0.5\n2," + "x" * 200_000 + "\n")
+        assert main([command, "--input", path]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: line 2: field larger than field limit")
+        assert err.count("\n") == 1
+
     def test_wmw_on_tied_data_warns_and_keeps_its_report(self, tmp_path, capsys):
         path = _write(tmp_path, "tied.csv", "group,value\n1,1\n1,2\n1,2\n2,1\n2,3\n")
         assert main(["test", "--input", path, "--boot", "99"]) == 0

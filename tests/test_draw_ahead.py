@@ -2,8 +2,8 @@
 
 ``_bootstrap_draws`` makes its ``integers`` calls on one helper thread when a
 sample takes more than one sub-chunk, and inline otherwise. Each draw matrix
-comes with its ``ahead`` still to apply (WMW's lookups, KS's in-place
-counting), and ``_drawn_ahead`` applies it on the helper only while its
+comes with its ``ahead`` still to apply (WMW's lookups or KS's counting,
+both in place), and ``_drawn_ahead`` applies it on the helper only while its
 one-place queue is full; otherwise the caller does. These tests check that
 every split gives the inline draws and leaves ``rng`` in the same state, that
 each draw matrix gets ``ahead`` exactly once and only the helper draws, that
@@ -312,15 +312,15 @@ def test_wmw_tables_are_built_before_the_helper_starts(monkeypatch, thread_start
 
 @pytest.mark.parametrize("regime", sorted(_REGIMES))
 @pytest.mark.parametrize("pairing", [Pairing.INDEPENDENT, Pairing.MATCHED])
-def test_wmw_draws_are_released_before_their_reduction_on_either_thread(
+def test_wmw_draws_are_released_after_their_reduction_on_either_thread(
     monkeypatch, pairing, regime
 ):
     # Sub-chunks of 6 rows, 7 per sample, through the helper. Each item the
-    # helper finishes has dropped its draw matrix by the time it is queued,
-    # and at each WMW reduction of item k draw matrices 0 to k are gone,
-    # whichever thread looked them up; later ones may be in flight. Matched
-    # items make a head and a tail, independent x1 items a head and x2
-    # items a tail.
+    # helper finishes is queued with its lookups written over its own draw
+    # matrix, and at each WMW reduction of item k draw matrix k is alive and
+    # 0 to k - 1 are gone, whichever thread looked them up; later ones may be
+    # in flight. Matched items make a head and a tail, independent x1 items
+    # a head and x2 items a tail.
     monkeypatch.setattr(bootstrap, "_CHUNK_ELEMENTS", 400)
     matched = pairing is Pairing.MATCHED
     rng = _DrawSpy(7)
@@ -328,7 +328,12 @@ def test_wmw_draws_are_released_before_their_reduction_on_either_thread(
 
     def on_put(box):
         if isinstance(box, list):
-            queued.append(callable(box[0]) or rng.drawn[len(queued)]() is None)
+            c, item = rng.drawn[len(queued)](), box[0]
+            if not callable(item):  # finished: its hits, or else its ranks, sit in ``c``
+                item = next(x for x in item[4] if x is not None)
+                queued.append(c is not None and np.shares_memory(item, c))
+            else:
+                queued.append(c is not None)
 
     _forced(monkeypatch, regime, on_put)
 
@@ -337,7 +342,7 @@ def test_wmw_draws_are_released_before_their_reduction_on_either_thread(
 
         def spy(self, *args, **kwargs):
             k = len(alive) // 2 if matched else len(alive)
-            alive.append(sum(ref() is not None for ref in rng.drawn[: k + 1]))
+            alive.append([i for i, ref in enumerate(rng.drawn[: k + 1]) if ref() is not None])
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(_Prepared, method, spy)
@@ -348,7 +353,7 @@ def test_wmw_draws_are_released_before_their_reduction_on_either_thread(
     got = _finishes(lambda: _bootstrap_draws(_Prepared(data), BootstrapConfig(num_reps=40), rng))
     assert len(rng.drawn) == (7 if matched else 14)
     assert queued == [True] * len(rng.drawn)
-    assert alive == [0] * 14
+    assert alive == [[k // 2 if matched else k] for k in range(14)]
     monkeypatch.setattr(bootstrap, "_drawn_ahead", lambda stream: stream)
     inline = _bootstrap_draws(_Prepared(data), BootstrapConfig(num_reps=40), _DrawSpy(7))
     assert_array_equal(got, inline)

@@ -94,6 +94,29 @@ def test_categories_round_trip_through_bincount(n, rows, seed):
     assert_array_equal(_column_counts(categories).T, w)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    n=st.integers(1, 61),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_take_over_its_own_indices_equals_a_fresh_gather(rows, n, seed):
+    # WMW's lookups overwrite their draw matrix: int64 hits over the int64
+    # draws, and int32 ranks over the front half of the draws' words, where
+    # rank p lands in word p // 2, which ``take`` has already read.
+    rng = np.random.default_rng(seed)
+    table64 = rng.integers(-(2**62), 2**62, size=n)
+    table32 = rng.integers(-(2**31), 2**31, size=n, dtype=np.int32)
+    draws = rng.integers(0, n, size=(rows, n))
+    c = draws.copy()
+    assert np.take(table64, c, out=c, mode="clip") is c
+    assert_array_equal(c, table64[draws.copy()])
+    c = draws.copy()
+    front = c.ravel().view(np.int32)[: c.size].reshape(c.shape)
+    assert np.take(table32, c, out=front, mode="clip") is front
+    assert_array_equal(front, table32[draws.copy()])
+
+
 @pytest.mark.parametrize("pairing", [Pairing.INDEPENDENT, Pairing.MATCHED])
 @pytest.mark.parametrize("kind", [StatKind.WMW, StatKind.KS])
 def test_engine_replays_the_draw_schedule(monkeypatch, pairing, kind):
@@ -187,7 +210,7 @@ def test_run_test_holds_no_batch_of_draws(kind, pairing):
 
 class _WeakRng:
     """A generator whose ``integers`` keeps a weak reference to each draw
-    matrix it returns, and notes how many earlier ones are alive at each call."""
+    matrix it returns, and notes which earlier ones are alive at each call."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
@@ -201,15 +224,16 @@ class _WeakRng:
 
 
 def _alive(refs):
-    return sum(ref() is not None for ref in refs)
+    return [i for i, ref in enumerate(refs) if ref() is not None]
 
 
 @pytest.mark.parametrize("pairing", [Pairing.INDEPENDENT, Pairing.MATCHED])
 @pytest.mark.parametrize("kind", [StatKind.WMW, StatKind.KS])
 def test_draw_matrices_are_released_by_their_reduction(monkeypatch, pairing, kind):
     # Sub-chunks of 6 rows, drawn inline so that every draw and reduction runs
-    # in a fixed order on this thread. No draw matrix outlives its step: WMW's
-    # is gone before it reduces, and KS holds exactly the count matrix of the
+    # in a fixed order on this thread. No draw matrix outlives its step: WMW
+    # looks each one up in place, so exactly the draw matrix of the sub-chunk
+    # it reduces is alive, and KS holds exactly the count matrix of the
     # columns its tree reduces.
     monkeypatch.setattr("domtest.bootstrap._drawn_ahead", lambda stream: stream)
     monkeypatch.setattr("domtest.bootstrap._CHUNK_ELEMENTS", 400)
@@ -240,9 +264,15 @@ def test_draw_matrices_are_released_by_their_reduction(monkeypatch, pairing, kin
     config = BootstrapConfig(num_reps=40, statistic_kind=kind)
     _bootstrap_draws(_Prepared(data), config, rng_spy)
     # 7 sub-chunks per sample; each x1 sub-chunk makes one WMW head, each
-    # finished sub-chunk one WMW tail or one KS tree.
-    assert rng_spy.alive_at_draws == [0] * (7 if pairing is Pairing.MATCHED else 14)
-    assert alive_at_reduce == ([0] * 14 if kind is StatKind.WMW else [1] * 7)
+    # finished sub-chunk one WMW tail or one KS tree. A matched sub-chunk
+    # makes both of its WMW reductions from one draw matrix, and an
+    # independent KS tree reads x2 sub-chunk k, the 8 + k-th drawn.
+    matched = pairing is Pairing.MATCHED
+    assert rng_spy.alive_at_draws == [[]] * (7 if matched else 14)
+    if kind is StatKind.WMW:
+        assert alive_at_reduce == [[k // 2 if matched else k] for k in range(14)]
+    else:
+        assert alive_at_reduce == [[k if matched else 7 + k] for k in range(7)]
 
 
 def test_prepared_builds_only_what_its_statistic_reads():
