@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .odc import (
-    OdcCurve, Pairing, TwoSampleData, _check_int, _check_member, _check_real, _pair_counts,
+    OdcCurve, Pairing, TwoSampleData, _check_int, _check_member, _check_real, rank_profile,
 )
 from .stats import StatKind, _sqrt_tn, _wmw_value, ks_statistic
 
@@ -59,6 +59,9 @@ _CHUNK_ELEMENTS = 1 << 17
 # padded to a multiple of 2**_TREE_LEVELS, and a cumsum over the remaining
 # blocks finishes each row. A speed constant: the draws do not depend on it.
 _TREE_LEVELS = 5
+# Each leaf's index in [0, 2**_TREE_LEVELS) with its bits reversed: the order
+# in which ``ks_merged`` lays the tree's leaves out.
+_BITREV = np.array([int(f"{r:0{_TREE_LEVELS}b}"[::-1], 2) for r in range(1 << _TREE_LEVELS)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,13 +173,6 @@ def _column_counts(categories: np.ndarray) -> np.ndarray:
     return np.bincount(categories.ravel(), minlength=n * rows).reshape(n, rows)
 
 
-def _categories(w: np.ndarray) -> np.ndarray:
-    """Category draws with row-wise counts ``w``, in category order; each row
-    of ``w`` must sum to its length. Their ``_column_counts`` are ``w.T``."""
-    rows, n = w.shape
-    return np.repeat(np.tile(np.arange(n), rows), w.ravel()).reshape(rows, n)
-
-
 def _multinomial_rows(rng: np.random.Generator, categories: int, nrows: int) -> np.ndarray:
     """Draw ``nrows`` equal-probability multinomial count vectors.
 
@@ -207,11 +203,12 @@ def bootstrap_odc(data: TwoSampleData, weights: BootstrapWeights) -> OdcCurve:
     """
     if weights.w1.size != data.n1 or weights.w2.size != data.n2:
         raise ValueError("weight lengths do not match the sample sizes")
-    c1, c2 = _categories(weights.w1[None]), _categories(weights.w2[None])
     prep = _Prepared(data)
-    ranks = prep.rank2[c2]
-    ranks.sort(axis=1)
-    counts = prep.odc_tail(prep.wmw_head(prep.g1[c1]), ranks)[0]
+    # The one row's hits, and its x2 ranks in sorted order: sorted x2 number
+    # p repeated by its weight.
+    hits = np.repeat(prep.g1, weights.w1)[None]
+    ranks = np.repeat(np.arange(data.n2, dtype=np.int32), weights.w2[prep.perm2])[None]
+    counts = prep.odc_tail(prep.wmw_head(hits), ranks)[0]
     return OdcCurve(values=counts / data.n1, n1=data.n1, n2=data.n2)
 
 
@@ -274,7 +271,7 @@ def _variances(data: TwoSampleData) -> np.ndarray:
     n2 = data.n2
     i = np.arange(1, n2 + 1, dtype=np.float64)
     if data.pairing is Pairing.MATCHED:
-        return np.maximum(i / n2 - _copula_diag(*_pair_counts(data)), 0.0)
+        return np.maximum(i / n2 - _copula_diag(*rank_profile(data)), 0.0)
     return np.maximum(i / n2 - i**2 / n2**2, 0.0)
 
 
@@ -373,9 +370,8 @@ class _Prepared:
         pos2 = np.arange(n2) + below
         leaves = 1 << _TREE_LEVELS
         blocks = -(-(n1 + n2) // leaves)
-        bitrev = np.array([int(f"{r:0{_TREE_LEVELS}b}"[::-1], 2) for r in range(leaves)])
         q = np.arange(n1 + n2)
-        slot = bitrev[q % leaves] * blocks + q // leaves
+        slot = _BITREV[q % leaves] * blocks + q // leaves
         src = np.full(leaves * blocks, n1 + n2, dtype=np.intp)
         src[slot[pos1]], src[slot[pos2]] = self.perm1, self.perm2 + n1
         # A pooled point's value closes the group at position cnt1 + cnt2 - 1.

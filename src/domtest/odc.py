@@ -18,7 +18,6 @@ __all__ = [
     "Pairing",
     "TwoSampleData",
     "OdcCurve",
-    "RankProfile",
     "empirical_odc",
     "rank_profile",
 ]
@@ -65,18 +64,6 @@ def _check_member(name: str, value, kind: type) -> None:
     """Reject anything but an instance of ``kind``: an enum's value is no member."""
     if not isinstance(value, kind):
         raise ValueError(f"invalid {name}: {value!r}")
-
-
-def _grid_counts(name: str, values: np.ndarray, n: int, least: int) -> np.ndarray:
-    """Numerators ``k`` of ``values = k/n``, as floats, clipped to ``[least, n]``
-    so that one comparison rejects off-grid and out-of-range values alike. A
-    value passes within ``max(1e-8, n * 2**-50)`` of ``k`` once scaled by ``n``,
-    as every float ``k/n`` does: it scales to within ``n * 2**-52`` of ``k``."""
-    scaled = values * n
-    counts = np.rint(scaled).clip(least, n)
-    if np.abs(scaled - counts).max() > max(1e-8, n * 2.0**-50):
-        raise ValueError(f"{name} must be multiples k/{n} with {least} <= k <= {n}")
-    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +125,10 @@ class OdcCurve:
 
     ``counts[i-1]`` is the number of first-sample observations at or below
     the i-th order statistic of the second sample, and ``values = counts/n1``;
-    both are read-only. The ``values`` passed in must be multiples of ``1/n1``
-    within the tolerance of ``_grid_counts``, which every float ``k/n1`` meets.
+    both are read-only. The ``values`` passed in must be multiples ``k/n1``
+    with ``0 <= k <= n1``: a value passes within ``max(1e-8, n1 * 2**-50)`` of
+    ``k`` once scaled by ``n1``, as every float ``k/n1`` does, since it scales
+    to within ``n1 * 2**-52`` of ``k``.
     """
 
     values: np.ndarray
@@ -150,8 +139,12 @@ class OdcCurve:
     def __post_init__(self):
         _check_int("n1", self.n1, 1)
         _check_int("n2", self.n2, 1)
-        values = _as_sample(self.values, "ODC values")
-        counts = _grid_counts("ODC values", values, self.n1, 0).astype(np.int64)
+        scaled = _as_sample(self.values, "ODC values") * self.n1
+        # Clipping first lets one comparison reject off-grid and out-of-range values.
+        counts = np.rint(scaled).clip(0, self.n1)
+        if np.abs(scaled - counts).max() > max(1e-8, self.n1 * 2.0**-50):
+            raise ValueError(f"ODC values must be multiples k/{self.n1} with 0 <= k <= {self.n1}")
+        counts = counts.astype(np.int64)
         if counts.size != self.n2:
             raise ValueError(f"expected {self.n2} grid values, got {counts.size}")
         if (np.diff(counts) < 0).any():
@@ -164,34 +157,6 @@ class OdcCurve:
     def grid(self) -> np.ndarray:
         """The evaluation grid ``i/n2``, i = 1..n2."""
         return np.arange(1, self.n2 + 1, dtype=np.float64) / self.n2
-
-
-@dataclass(frozen=True, eq=False)
-class RankProfile:
-    """Normalized within-sample ranks of matched pairs.
-
-    ``u_ranks[j]`` is the first-sample ECDF evaluated at the j-th first-sample
-    observation, and likewise for ``v_ranks``; every entry is ``k/n`` with
-    ``1 <= k <= n``, and with no ties each vector is a permutation of
-    ``{1/n, ..., 1}``. ``u_counts`` and ``v_counts`` hold those integers
-    ``k`` as read-only int64 vectors.
-    """
-
-    u_ranks: np.ndarray
-    v_ranks: np.ndarray
-    u_counts: np.ndarray = field(init=False, repr=False)
-    v_counts: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        u = _as_sample(self.u_ranks, "u_ranks")
-        v = _as_sample(self.v_ranks, "v_ranks")
-        if u.size != v.size:
-            raise ValueError("rank vectors must have equal length")
-        for name, ranks in (("u", u), ("v", v)):
-            counts = _grid_counts(f"{name}_ranks", ranks, ranks.size, 1).astype(np.int64)
-            counts.setflags(write=False)
-            object.__setattr__(self, f"{name}_ranks", ranks)
-            object.__setattr__(self, f"{name}_counts", counts)
 
 
 def _quantile_rank(n: int, level: float) -> int:
@@ -212,20 +177,17 @@ def empirical_odc(data: TwoSampleData) -> OdcCurve:
     return OdcCurve(values=counts / data.n1, n1=data.n1, n2=data.n2)
 
 
-def rank_profile(data: TwoSampleData) -> RankProfile:
-    """Within-sample ECDF ranks of matched pairs, in pair order.
+def rank_profile(data: TwoSampleData) -> tuple[np.ndarray, np.ndarray]:
+    """Within-sample ranks of matched pairs, in pair order, as the int64 pair
+    ``(u, v)``: ``u[j]`` counts the first-sample values at or below ``x1[j]``,
+    ``v[j]`` the second-sample values at or below ``x2[j]``, so each lies in
+    ``[1, n]``, and ``u / n`` is the first-sample ECDF at ``x1[j]``.
 
     Only defined for matched pairs; the empirical copula built from these
     ranks has no meaning for two unrelated samples.
     """
     if data.pairing is not Pairing.MATCHED:
         raise ValueError("rank_profile requires matched pairs")
-    u, v = _pair_counts(data)
-    return RankProfile(u_ranks=u / data.n1, v_ranks=v / data.n1)
-
-
-def _pair_counts(data: TwoSampleData) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 numerators of ``rank_profile``'s ranks, in pair order."""
     perm1, perm2, cnt1, cnt2 = data._ranks
     u, v = np.empty_like(cnt1[: data.n1]), np.empty_like(cnt2[data.n1 :])
     u[perm1], v[perm2] = cnt1[: data.n1], cnt2[data.n1 :]

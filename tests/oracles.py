@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from domtest import Pairing, empirical_odc, variance_profile
-from domtest.bootstrap import _categories, _wmw_sums
+from domtest.bootstrap import _wmw_sums
 from domtest.limitdist import _pinned_walk
 from domtest.odc import _as_sample, _check_int, _quantile_rank
 from domtest.simulate import _gaussian_copula
@@ -372,6 +372,13 @@ def bridge_paths(rng: np.random.Generator, num_paths: int, grid_size: int) -> np
 # engine adapters: a ``_Prepared`` engine driven by row-wise weight matrices
 
 
+def categories_of(w):
+    """Category draws with row-wise counts ``w``, in category order; each row
+    of ``w`` must sum to its length. Their ``_column_counts`` are ``w.T``."""
+    rows, n = w.shape
+    return np.repeat(np.tile(np.arange(n), rows), w.ravel()).reshape(rows, n)
+
+
 def kept_columns(data, tau):
     """Grid columns that the contact-set screen keeps at ``tau``, from the
     public ODC and variance profile; None keeps every column (tau = inf)."""
@@ -390,8 +397,8 @@ def wmw_draws(prep, w1, w2, keep):
     if keep is not None:
         center = np.full_like(prep.m, prep.n1)
         center[keep] = prep.m[keep]
-    head = prep.wmw_head(prep.g1[_categories(w1)])
-    excess = prep.odc_tail(head, np.sort(prep.rank2[_categories(w2)]))
+    head = prep.wmw_head(prep.g1[categories_of(w1)])
+    excess = prep.odc_tail(head, np.sort(prep.rank2[categories_of(w2)]))
     return _wmw_sums(excess - center, prep.n1, prep.n2)
 
 

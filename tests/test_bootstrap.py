@@ -20,6 +20,7 @@ from domtest import (
     draw_weights,
     empirical_odc,
     limit_quantiles,
+    rank_profile,
     run_test,
     variance_profile,
 )
@@ -27,7 +28,6 @@ from domtest.bootstrap import (
     _Prepared, _bootstrap_draws, _copula_diag, _multinomial_rows,
 )
 from domtest.cli import emit_report
-from domtest.odc import _pair_counts
 
 from oracles import (
     bootstrap_odc_brute,
@@ -305,18 +305,18 @@ class TestEmpiricalCopulaDiag:
         data = TwoSampleData(
             x1=[1.0, 2.0, 3.0, 4.0], x2=[10.0, 20.0, 30.0, 40.0], pairing=Pairing.MATCHED
         )
-        assert_array_equal(_copula_diag(*_pair_counts(data)), [0.25, 0.5, 0.75, 1.0])
+        assert_array_equal(_copula_diag(*rank_profile(data)), [0.25, 0.5, 0.75, 1.0])
 
     def test_antithetic(self):
         data = TwoSampleData(
             x1=[1.0, 2.0, 3.0, 4.0], x2=[40.0, 30.0, 20.0, 10.0], pairing=Pairing.MATCHED
         )
-        diag = _copula_diag(*_pair_counts(data))
+        diag = _copula_diag(*rank_profile(data))
         assert diag[2] == 0.5
 
     def test_single_pair(self):
         data = TwoSampleData(x1=[7.0], x2=[9.0], pairing=Pairing.MATCHED)
-        assert_array_equal(_copula_diag(*_pair_counts(data)), [1.0])
+        assert_array_equal(_copula_diag(*rank_profile(data)), [1.0])
 
 
 class TestCriticalValue:

@@ -1,8 +1,11 @@
+import ast
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -534,6 +537,24 @@ def test_a_thread_that_outlives_the_main_thread_gets_the_same_reports(tmp_path, 
     assert _python(code) == "".join(expected).strip()
 
 
+def test_every_domtest_name_the_benchmark_imports_resolves():
+    # The benchmark's scripts import library names directly; read their
+    # imports without running them, so that deleting or renaming such a name
+    # fails here and not only when the benchmark runs.
+    root = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    imported = [
+        (node.module, alias.name)
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "domtest"
+        for alias in node.names
+    ]
+    assert imported
+    for module, name in imported:
+        if not hasattr(importlib.import_module(module), name):
+            importlib.import_module(f"{module}.{name}")  # a submodule, or no such name
+
+
 def test_each_public_name_declared_once():
     # A module's ``__all__`` is the only list of its public names: the package
     # exports their union, and a name in two modules would silently take the
@@ -542,7 +563,7 @@ def test_each_public_name_declared_once():
     names = [name for module in modules for name in module.__all__]
     assert len(names) == len(set(names))
     assert set(names) | {"__version__"} == set(domtest.__all__)
-    assert len(domtest.__all__) == 35
+    assert len(domtest.__all__) == 34
     for module in modules:
         for name in module.__all__:
             assert getattr(domtest, name) is getattr(module, name)

@@ -17,11 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from domtest import BootstrapConfig, Pairing, StatKind, TwoSampleData, run_test
-from domtest.bootstrap import _bootstrap_draws, _categories, _column_counts, _Prepared
+from domtest import (
+    BootstrapConfig, BootstrapWeights, Pairing, StatKind, TwoSampleData, bootstrap_odc, run_test,
+)
+from domtest.bootstrap import _bootstrap_draws, _column_counts, _Prepared
 
 from oracles import (
-    kept_columns, ks_draws, odc_counts_reference, row_counts, wmw_draws, wmw_draws_reference,
+    categories_of, kept_columns, ks_draws, odc_counts_reference, row_counts, wmw_draws,
+    wmw_draws_reference,
 )
 
 # few distinct values, so most datasets carry heavy ties
@@ -78,6 +81,32 @@ def test_draw_indexed_rows_equal_count_reference(case, tau):
     assert_array_equal(wmw_draws(prep, w1, w2, keep), want)
 
 
+@settings(max_examples=400, deadline=None)
+@given(case=_draw_case())
+@example(
+    case=(
+        TwoSampleData(x1=[1.0], x2=[0.0, 1.0, 1.0, 2.0]),
+        np.zeros((1, 1), int),
+        np.array([[3, 3, 1, 3]]),
+    ),
+)
+@example(
+    case=(
+        TwoSampleData(x1=[2.0, 1.0, 1.0], x2=[1.0, 0.0, 1.0], pairing=Pairing.MATCHED),
+        np.array([[1, 1, 0]]),
+        np.array([[1, 1, 0]]),
+    ),
+)
+def test_bootstrap_odc_equals_count_reference(case):
+    # the one-row public op builds its hits and sorted ranks straight from
+    # the weights, with no category draws; row 0 of each case is its weights
+    data, c1, c2 = case
+    w1, w2 = row_counts(c1[:1], data.n1), row_counts(c2[:1], data.n2)
+    want, _ = odc_counts_reference(data.x1, data.x2, w1, w2)
+    got = bootstrap_odc(data, BootstrapWeights(w1=w1[0], w2=w2[0]))
+    assert_array_equal(got.counts, want[0], strict=True)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(1, 12),
@@ -88,7 +117,7 @@ def test_categories_round_trip_through_bincount(n, rows, seed):
     draws = np.random.default_rng(seed).integers(0, n, size=(rows, n))
     w = row_counts(draws, n)
     assert_array_equal(_column_counts(draws.copy()).T, w)
-    categories = _categories(w)
+    categories = categories_of(w)
     assert categories.shape == (rows, n)
     assert_array_equal(categories, np.sort(draws, axis=1))
     assert_array_equal(_column_counts(categories).T, w)

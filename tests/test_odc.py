@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -5,7 +7,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from domtest import (
     OdcCurve,
     Pairing,
-    RankProfile,
     TwoSampleData,
     empirical_odc,
     rank_profile,
@@ -46,6 +47,12 @@ class TestValidation:
     def test_odc_curve_rejects_off_grid(self):
         with pytest.raises(ValueError):
             OdcCurve(values=[0.3, 0.9], n1=2, n2=2)
+
+    @pytest.mark.parametrize("values", [[0.5, 1.5], [-0.5, 1.0], [0.4, 1.0]])
+    def test_odc_curve_values_must_be_counts_over_n1(self, values):
+        # above n1, below 0 and between grid points all fail the one comparison
+        with pytest.raises(ValueError, match=re.escape("multiples k/2 with 0 <= k <= 2")):
+            OdcCurve(values=values, n1=2, n2=2)
 
     def test_odc_curve_accepts_exact_floats_at_large_n1(self):
         # k/n1 scales back to k only within n1 * 2**-52, far above 1e-8 here
@@ -182,39 +189,32 @@ class TestEmpiricalOdc:
 class TestRankProfile:
     def test_comonotone(self):
         data = TwoSampleData(x1=[10.0, 20.0], x2=[5.0, 6.0], pairing=Pairing.MATCHED)
-        prof = rank_profile(data)
-        assert_array_equal(prof.u_ranks, [0.5, 1.0])
-        assert_array_equal(prof.v_ranks, [0.5, 1.0])
+        u, v = rank_profile(data)
+        assert_array_equal(u, [1, 2], strict=True)
+        assert_array_equal(v, [1, 2], strict=True)
 
     def test_antithetic(self):
         data = TwoSampleData(x1=[10.0, 20.0], x2=[6.0, 5.0], pairing=Pairing.MATCHED)
-        prof = rank_profile(data)
-        assert_array_equal(prof.u_ranks, [0.5, 1.0])
-        assert_array_equal(prof.v_ranks, [1.0, 0.5])
+        u, v = rank_profile(data)
+        assert_array_equal(u, [1, 2], strict=True)
+        assert_array_equal(v, [2, 1], strict=True)
 
     def test_single_pair(self):
         data = TwoSampleData(x1=[7.0], x2=[9.0], pairing=Pairing.MATCHED)
-        prof = rank_profile(data)
-        assert_array_equal(prof.u_ranks, [1.0])
-        assert_array_equal(prof.v_ranks, [1.0])
+        u, v = rank_profile(data)
+        assert_array_equal(u, [1], strict=True)
+        assert_array_equal(v, [1], strict=True)
 
     def test_independent_rejected(self):
         data = TwoSampleData(x1=[1.0, 2.0], x2=[3.0, 4.0])
         with pytest.raises(ValueError):
             rank_profile(data)
 
-    @pytest.mark.parametrize(
-        "u,v", [([0.5, 1.0], [1.0, 3.0]), ([0.0, 1.0], [0.5, 1.0]), ([0.4, 1.0], [0.5, 1.0])]
-    )
-    def test_entries_must_be_ranks(self, u, v):
-        with pytest.raises(ValueError):
-            RankProfile(u_ranks=u, v_ranks=v)
-
     def test_permutation_without_ties(self):
         rng = np.random.default_rng(17)
         n = 23
         data = TwoSampleData(x1=rng.random(n), x2=rng.random(n), pairing=Pairing.MATCHED)
-        prof = rank_profile(data)
-        expected = np.arange(1, n + 1) / n
-        assert_array_equal(np.sort(prof.u_ranks), expected)
-        assert_array_equal(np.sort(prof.v_ranks), expected)
+        u, v = rank_profile(data)
+        expected = np.arange(1, n + 1)
+        assert_array_equal(np.sort(u), expected)
+        assert_array_equal(np.sort(v), expected)
