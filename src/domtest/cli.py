@@ -15,6 +15,7 @@ import math
 import sys
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -100,31 +101,48 @@ def parse_csv(source, paired: bool = False) -> TwoSampleData:
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return parse_csv(fh, paired=paired)
     reader = csv.reader(source)
+    # Rows are streamed into two columns of cells: a list per row, all alive at
+    # once, set off full garbage collections. Only a body that the column path
+    # rejects is rebuilt as a list of rows, for the row loop.
+    first: list[str] = []
+    second: list[str] = []
+    rest: list = []  # the first row of other than two cells and every row after it
     try:
-        rows = list(reader)
+        head = next(reader, [])
+        start = 0 if any(map(_is_number, head)) else 1
+        rows = reader if start else chain([head], reader)
+        for row in rows:
+            try:
+                cell1, cell2 = row
+            except ValueError:
+                rest = [row, *rows]
+                break
+            first.append(cell1)
+            second.append(cell2)
     except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
         raise ValueError(f"line {reader.line_num}: {exc}") from None
-    start = 1 if rows and not any(map(_is_number, rows[0])) else 0
     try:
-        x1, x2 = _bulk_columns(rows[start:], paired)
+        if rest:
+            raise ValueError("a row of other than two cells")
+        x1, x2 = _bulk_columns((first, second), paired)
     except ValueError:
-        x1, x2 = _row_columns(rows, start, paired)
+        x1, x2 = _row_columns([head][:start] + [*zip(first, second), *rest], start, paired)
     pairing = Pairing.MATCHED if paired else Pairing.INDEPENDENT
     return TwoSampleData(x1=x1, x2=x2, pairing=pairing)
 
 
-def _bulk_columns(body: list, paired: bool):
-    """Both samples of a CSV body whose rows are all two cells, a group of
-    exactly 1 or 2 and both samples nonempty, a column at a time. Raises
-    ValueError, whose text is never shown, on any other body: ``float`` reads
-    a padded cell as ``_row_columns`` reads the stripped one, so what passes
-    here is read the same by both."""
-    if set(map(len, body)) != {2}:
-        raise ValueError("not two cells per row")
-    first, second = zip(*body)
-    values = np.fromiter(map(float, second), np.float64)
+def _bulk_columns(columns: tuple, paired: bool):
+    """Both samples from a CSV body's two columns of cells, a column at a
+    time, when every group is exactly 1 or 2 and both samples are nonempty.
+    Raises ValueError, whose text is never shown, on any other body: ``float``
+    reads a padded cell as ``_row_columns`` reads the stripped one, so what
+    passes here is read the same by both."""
+    first, second = columns
+    if not first:
+        raise ValueError("no rows")
+    values = np.fromiter(map(float, second), np.float64, len(second))
     if paired:
-        return np.fromiter(map(float, first), np.float64), values
+        return np.fromiter(map(float, first), np.float64, len(first)), values
     if not set(first) <= {"1", "2"}:
         raise ValueError("a group other than 1 or 2")
     in1 = np.array(first) == "1"

@@ -2,15 +2,18 @@
 
 Everything here is written from the definitions with plain loops, Fractions,
 and quadrature, and deliberately shares no code with the library under test.
-The exceptions are the last two sections: helpers that only tests call, built
-on the library's private pieces, and adapters that feed row-wise weight
-matrices to the bootstrap engine, so tests can compare its draws with these
-oracles weight row by weight row, plus the running-sum KS reduction that the
-engine's max-prefix tree must match bit for bit.
+The exceptions are the last three sections: helpers that only tests call, built
+on the library's private pieces; adapters that feed row-wise weight matrices
+to the bootstrap engine, so tests can compare its draws with these oracles
+weight row by weight row, plus the running-sum KS reduction that the engine's
+max-prefix tree must match bit for bit; and a frozen copy of the CSV parser
+that read every file into one list of rows, which the streaming
+``domtest.cli.parse_csv`` must match byte for byte and error for error.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
 
@@ -18,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from domtest import Pairing, empirical_odc, variance_profile
+from domtest import Pairing, TwoSampleData, empirical_odc, variance_profile
 from domtest.bootstrap import _wmw_sums
 from domtest.limitdist import _pinned_walk
 from domtest.odc import _as_sample, _check_int, _quantile_rank
@@ -435,3 +438,83 @@ def ks_cumsum_reference(prep, w1, w2):
     diff -= base
     best = np.maximum(diff[:, ends].max(axis=1), 0)
     return best * (math.sqrt(n1 * n2 / (n1 + n2)) / (n1 * n2))
+
+
+# ---------------------------------------------------------------------------
+# the row-list CSV parser, frozen
+
+
+def _is_number_reference(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _float_cell_reference(text: str, line_no: int, column: str = "") -> float:
+    try:
+        return float(text)
+    except ValueError:
+        what = f"{column} value".lstrip()
+        raise ValueError(f"line {line_no}: cannot parse {what} {text!r}") from None
+
+
+def parse_csv_reference(source, paired: bool = False) -> TwoSampleData:
+    """``domtest.cli.parse_csv`` as it was when it read every row into one
+    list before converting: the same samples, or the same ValueError text."""
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+            return parse_csv_reference(fh, paired=paired)
+    reader = csv.reader(source)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+    start = 1 if rows and not any(map(_is_number_reference, rows[0])) else 0
+    try:
+        x1, x2 = _bulk_columns_reference(rows[start:], paired)
+    except ValueError:
+        x1, x2 = _row_columns_reference(rows, start, paired)
+    pairing = Pairing.MATCHED if paired else Pairing.INDEPENDENT
+    return TwoSampleData(x1=x1, x2=x2, pairing=pairing)
+
+
+def _bulk_columns_reference(body: list, paired: bool):
+    if set(map(len, body)) != {2}:
+        raise ValueError("not two cells per row")
+    first, second = zip(*body)
+    values = np.fromiter(map(float, second), np.float64)
+    if paired:
+        return np.fromiter(map(float, first), np.float64), values
+    if not set(first) <= {"1", "2"}:
+        raise ValueError("a group other than 1 or 2")
+    in1 = np.array(first) == "1"
+    if in1.all() or not in1.any():
+        raise ValueError("an empty sample")
+    return values[in1], values[~in1]
+
+
+def _row_columns_reference(rows: list, start: int, paired: bool):
+    layout = "x1,x2" if paired else "group,value"
+    x1: list[float] = []
+    x2: list[float] = []
+    for idx in range(start, len(rows)):
+        row = [cell.strip() for cell in rows[idx]]
+        if not any(row):
+            continue
+        line_no = idx + 1
+        if len(row) != 2 or not all(row):
+            raise ValueError(f"line {line_no}: expected two cells {layout}")
+        if paired:
+            x1.append(_float_cell_reference(row[0], line_no, "x1"))
+            x2.append(_float_cell_reference(row[1], line_no, "x2"))
+        else:
+            group = row[0]
+            if group not in ("1", "2"):
+                raise ValueError(f"line {line_no}: group must be 1 or 2, got {group!r}")
+            value = _float_cell_reference(row[1], line_no)
+            (x1 if group == "1" else x2).append(value)
+    if not x1 or not x2:
+        raise ValueError("each sample needs at least one observation")
+    return np.array(x1), np.array(x2)

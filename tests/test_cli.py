@@ -1,4 +1,6 @@
 import ast
+import csv
+import gc
 import hashlib
 import importlib
 import io
@@ -6,6 +8,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -19,6 +22,7 @@ import domtest
 from domtest import Pairing, StatKind, cli
 from domtest.cli import emit_report, main, parse_csv, parse_report
 from domtest import BootstrapConfig, TwoSampleData, run_test
+from oracles import parse_csv_reference
 
 
 def _write(tmp_path, name, text):
@@ -122,15 +126,20 @@ def _csv_file(draw):
     return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode()
 
 
-def _parsed(raw, paired):
-    """The bytes of both samples that ``parse_csv`` reads from the file
-    ``raw``, or the text of the ValueError it raises."""
-    source = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+def _outcome(parse, source, paired):
+    """The bytes of both samples that ``parse`` reads from ``source``, or the
+    text of the ValueError it raises."""
     try:
-        data = parse_csv(source, paired=paired)
+        data = parse(source, paired=paired)
     except ValueError as exc:
         return str(exc)
     return data.x1.tobytes(), data.x2.tobytes()
+
+
+def _parsed(raw, paired):
+    """What ``parse_csv`` reads from the file ``raw``: see ``_outcome``."""
+    source = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+    return _outcome(parse_csv, source, paired)
 
 
 def _no_bulk(body, paired):
@@ -151,6 +160,71 @@ def test_bulk_parse_equals_the_row_loop(raw, paired):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_bulk_columns", _no_bulk)
         assert _parsed(raw, paired) == bulk
+
+
+# The row that ends a long clean body: one the column path reads too, then
+# rows that send the parser back to the row loop or stop the csv reader.
+_LAST_ROWS = [
+    "2,0.25", "1,2,3", "", "3,0.5", " 1,0.5", "1,oops", "1,nan",
+    "1," + "x" * (csv.field_size_limit() + 1), "1,0.\x005", '1,"0.5\n"', '2,"0.\n5"',
+    "1,0.5\r2,0.7",
+]  # fmt: skip
+
+
+@st.composite
+def _long_csv_file(draw, last):
+    """CSV bytes: 1000 to 1100 clean group,value rows (also read as x1,x2
+    pairs), then ``last`` and up to two clean rows; an optional header, BOM
+    and CRLF."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    clean = [f"{rng.choice('12')},{rng.uniform(-5, 5)!r}" for _ in range(1100)]
+    lines = clean[: draw(st.integers(1000, 1100))] + [last] + clean[: draw(st.integers(0, 2))]
+    header = draw(st.sampled_from(["", "group,value", "x1,x2", "a,b,c", " g , v ", "1,x"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join([header, *lines] if header else lines) + newline
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode()
+
+
+@pytest.mark.parametrize("last", _LAST_ROWS, ids=range(len(_LAST_ROWS)))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), paired=st.booleans())
+def test_streamed_parse_equals_the_row_list_parser(tmp_path_factory, last, data, paired):
+    # the same samples or the same error, line number included, from a path,
+    # a file opened with newline="" and a plain StringIO
+    raw = data.draw(_long_csv_file(last))
+    path = tmp_path_factory.getbasetemp() / "long.csv"
+    path.write_bytes(raw)
+    sources = [
+        lambda: str(path),
+        lambda: io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""),
+        lambda: io.StringIO(raw.decode()),
+    ]
+    for source in sources:
+        expected = _outcome(parse_csv_reference, source(), paired)
+        assert _outcome(parse_csv, source(), paired) == expected
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_a_long_file_sets_off_no_collections(tmp_path, paired):
+    # A list per row, all alive at once, set off dozens of collections over
+    # every object that numpy and scipy hold; streamed rows die one by one.
+    rng = random.Random(5)
+    rows = [f"{1 + i % 2},{rng.random()!r}" for i in range(20000)]
+    path = _write(tmp_path, "long.csv", "\n".join(["x1,x2" if paired else "group,value", *rows]))
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        data = parse_csv(path, paired=paired)
+    finally:
+        gc.callbacks.remove(count)
+    assert data.x1.size + data.x2.size == (40000 if paired else 20000)
+    assert len(starts) <= 1
 
 
 class TestReportSerialization:
