@@ -316,6 +316,8 @@ class _Prepared:
     draws never build the KS state and KS draws never build the WMW state.
     All of it reads the rank cache, as do ``run_test``'s observed statistic and
     screen, through ``_wmw_value`` and ``_variances``, with no value object.
+    Either statistic's batch matrix counts x1 draws, at most n1 each, in
+    ``count_dtype``: 16-bit when n1 < 2**16, which halves it, else int32.
     """
 
     def __init__(self, data: TwoSampleData):
@@ -324,6 +326,7 @@ class _Prepared:
         self.n2 = data.n2
         self.perm1, self.perm2, self.cnt1, self.cnt2 = data._ranks
         self.m = self.cnt1[self.n1 :].astype(np.int32)
+        self.count_dtype = np.uint16 if self.n1 < 2**16 else np.int32
         # Sums of runs of KS terms lie within +-2*n1*n2; int32 holds them up
         # to n1*n2 < 2**30, beyond that int64 does.
         self.ks_dtype = np.int32 if self.n1 * self.n2 < 2**30 else np.int64
@@ -389,23 +392,20 @@ class _Prepared:
     def wmw_head(self, hits: np.ndarray, out=None) -> np.ndarray:
         """h[r, k] counts the resampled x1 of row r at or below sorted x2
         number k, from the hits ``g1[c1]`` of its category draws ``c1``
-        (changed in place). Every count is at most n1, so int32 holds them."""
+        (changed in place), in ``count_dtype``."""
         rows, width = hits.shape[0], self.n2 + 1
         hits += _row_offsets(rows, width, hits.dtype)
         # int64 hits reach ``bincount`` without a converted copy.
         hist = np.bincount(hits.ravel(), minlength=rows * width).reshape(rows, width)
-        return np.cumsum(hist, axis=1, dtype=np.int32, out=out)
+        return np.cumsum(hist, axis=1, dtype=self.count_dtype, out=out)
 
     def odc_tail(self, head: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         """Bootstrap ODC numerators from ``wmw_head`` rows and the ranks
         ``rank2[c2]`` of x2 category draws ``c2``, each row sorted: the i-th
         smallest resampled x2 is sorted x2 number ``ranks[r, i]``. The
-        numerators are written over ``ranks``, which is returned."""
+        numerators come in a new array in ``head``'s dtype."""
         ranks += _row_offsets(*head.shape, ranks.dtype)
-        # ``take`` reads each index before it writes that place of ``out``
-        # (int32 indices are first converted to intp), and mode="clip" lets
-        # it write there without buffering a copy; every index is in range.
-        return np.take(head.ravel(), ranks, out=ranks, mode="clip")
+        return np.take(head.ravel(), ranks, mode="clip")  # every index is in range
 
     def ks_shared(self, w1: np.ndarray, w2: np.ndarray, terms=None, part=None) -> np.ndarray:
         """KS draws from column counts of x1 (``w1``) and x2 (``w2``), one
@@ -550,7 +550,7 @@ def _bootstrap_draws(
         # Built here, before any helper starts: ``ahead`` may run on either
         # thread, and ``cached_property`` takes no lock from Python 3.12 on.
         g1, rank2 = prep.g1, prep.rank2
-        head = np.empty((batch, n2 + 1), dtype=np.int32)
+        head = np.empty((batch, n2 + 1), dtype=prep.count_dtype)
 
         def ahead(second, c):
             # Lookups overwrite ``c``: ``take`` reads each index before it writes
@@ -571,8 +571,8 @@ def _bootstrap_draws(
                 prep.wmw_head(x1, head[lo:hi])
             if x2 is None:
                 return None
-            excess = prep.odc_tail(head[lo:hi], x2)
-            excess -= center
+            # The int32 excess goes over the ranks, which ``odc_tail`` has read.
+            excess = np.subtract(prep.odc_tail(head[lo:hi], x2), center, out=x2)
             return _wmw_sums(excess, n1, n2)
 
     else:
@@ -586,7 +586,7 @@ def _bootstrap_draws(
         space = np.empty((height + src.size) * chunk, dtype=dtype)
         terms, part = space[: height * chunk], space[height * chunk :]
         if not matched:
-            head = np.empty((n1, batch), dtype=np.int32)  # the batch's x1 counts
+            head = np.empty((n1, batch), dtype=prep.count_dtype)  # the batch's x1 counts
 
         def ahead(second, c):
             return _column_counts(c)

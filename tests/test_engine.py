@@ -222,9 +222,10 @@ def test_integers_over_row_blocks_equal_one_call(bit_generator, bound):
 @pytest.mark.parametrize("kind", [StatKind.WMW, StatKind.KS])
 def test_run_test_holds_no_batch_of_draws(kind, pairing):
     # Both pairings stream their category draws: a batch holds at most one
-    # batch matrix (WMW head rows, 400 x 5001 int32, or independent KS's x1
-    # counts, 400 x 5000 int32; 8 MB each) and cache-sized sub-chunk buffers,
-    # never a batch of draws (400 x 5000 int64, 16 MB per sample).
+    # batch matrix (WMW head rows, 400 x 5001 16-bit counts, or independent
+    # KS's x1 counts, 400 x 5000 16-bit counts; 4 MB each) and cache-sized
+    # sub-chunk buffers, never a batch of draws (400 x 5000 int64, 16 MB per
+    # sample).
     rng = np.random.default_rng(5)
     data = TwoSampleData(x1=rng.random(5000), x2=rng.random(5000) ** 1.2, pairing=pairing)
     config = BootstrapConfig(num_reps=999, seed=1, statistic_kind=kind)
@@ -235,6 +236,64 @@ def test_run_test_holds_no_batch_of_draws(kind, pairing):
     finally:
         tracemalloc.stop()
     assert peak <= 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize(
+    "kind, pairing",
+    [(StatKind.WMW, Pairing.INDEPENDENT), (StatKind.WMW, Pairing.MATCHED),
+     (StatKind.KS, Pairing.INDEPENDENT)],
+)
+def test_batch_matrix_holds_16_bit_counts(kind, pairing):
+    # The paths that keep a batch matrix trace 6.3-7.8 MB with 16-bit counts;
+    # 32-bit counts would add 4 MB, past this bound.
+    rng = np.random.default_rng(5)
+    data = TwoSampleData(x1=rng.random(5000), x2=rng.random(5000) ** 1.2, pairing=pairing)
+    config = BootstrapConfig(num_reps=999, seed=1, statistic_kind=kind)
+    tracemalloc.start()
+    try:
+        run_test(data, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class _ScriptedRng:
+    """A generator whose ``integers`` hands out the rows of given category
+    draws in order, one matrix per sample, told apart by their bound."""
+
+    def __init__(self, *draws):
+        self.rows = {c.shape[1]: iter(c) for c in draws}
+
+    def integers(self, low, high, size):
+        assert low == 0 and size[1] == high
+        return np.array([next(self.rows[high]) for _ in range(size[0])])
+
+
+@pytest.mark.parametrize("n1, dtype", [(65_535, np.uint16), (65_536, np.int32)])
+@pytest.mark.parametrize("kind", [StatKind.WMW, StatKind.KS])
+def test_batch_matrix_counts_up_to_n1(kind, n1, dtype):
+    # Every count in a batch matrix is at most n1, so 16 bits hold them up to
+    # n1 = 65535 and 32 bits beyond. Row 1 puts all its x1 weight on the
+    # smallest x1, so its WMW head reads n1 at every x2 and its KS count of
+    # that x1 is n1; 16-bit counts would wrap that to 0 at n1 = 65536. Three
+    # rows, one per sub-chunk, run on the draw-ahead helper.
+    data = TwoSampleData(x1=np.arange(n1) / n1, x2=[2.0, 0.25, 0.5, 0.25])
+    prep = _Prepared(data)
+    assert prep.count_dtype is dtype
+    rng = np.random.default_rng(3)
+    c1 = rng.integers(0, n1, size=(3, n1))
+    c1[1] = 0
+    c2 = rng.integers(0, 4, size=(3, 4))
+    config = BootstrapConfig(tau=math.inf, num_reps=3, statistic_kind=kind)
+    got = _bootstrap_draws(prep, config, _ScriptedRng(c1, c2))
+    w1, w2 = row_counts(c1, n1), row_counts(c2, 4)
+    if kind is StatKind.WMW:
+        want = wmw_draws_reference(data.x1, data.x2, w1, w2, None)
+    else:
+        want = ks_draws(prep, w1, w2)
+    assert want[1] > 0
+    assert_array_equal(got, want)
 
 
 class _WeakRng:

@@ -121,7 +121,7 @@ def _tree_case(draw):
     data = TwoSampleData(x1=x1, x2=x2, pairing=pairing)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = draw(st.integers(1, 4))
-    dtype = draw(st.sampled_from([np.int32, np.int64]))  # batch-matrix or fresh counts
+    dtype = draw(st.sampled_from([np.uint16, np.int32, np.int64]))  # batch-matrix or fresh counts
     w1 = _multinomial_rows(rng, n1, rows).astype(dtype)
     w2 = w1 if matched else _multinomial_rows(rng, n2, rows).astype(dtype)
     return data, w1, w2
