@@ -656,7 +656,7 @@ def run_test(
     if config.statistic_kind is StatKind.WMW:
         stat = _wmw_value(prep.cnt1[prep.n1 :], prep.n1, prep.n2)
     else:
-        stat = ks_statistic(data).value
+        stat = ks_statistic(data)
     draws = _bootstrap_draws(prep, config, rng)
     cv = critical_value(draws, config.alpha)
     p_value = float(np.count_nonzero(draws >= stat)) / config.num_reps

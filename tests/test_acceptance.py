@@ -137,8 +137,8 @@ def test_c06_area_sandwich():
         n2 = int(rng.integers(1, 201))
         data = dt.TwoSampleData(x1=rng.random(n1), x2=rng.random(n2))
         curve = dt.empirical_odc(data)
-        wmw = dt.wmw_statistic(curve).value
-        area = dt.odc_area_functional(curve).value
+        wmw = dt.wmw_statistic(curve)
+        area = dt.odc_area_functional(curve)
         upper = wmw + math.sqrt(n1 * n2 / (n1 + n2)) * (1.0 / (2.0 * n2))
         if not (wmw <= area and area <= np.nextafter(upper, np.inf)):
             ok = False

@@ -637,7 +637,7 @@ def test_each_public_name_declared_once():
     names = [name for module in modules for name in module.__all__]
     assert len(names) == len(set(names))
     assert set(names) | {"__version__"} == set(domtest.__all__)
-    assert len(domtest.__all__) == 34
+    assert len(domtest.__all__) == 33
     for module in modules:
         for name in module.__all__:
             assert getattr(domtest, name) is getattr(module, name)
