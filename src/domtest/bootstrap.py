@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .odc import (
-    OdcCurve, Pairing, TwoSampleData, _check_int, _check_member, _check_real, rank_profile,
+    OdcCurve, Pairing, TwoSampleData, _as_counts, _check_int, _check_member, _check_real,
+    rank_profile,
 )
 from .stats import StatKind, _sqrt_tn, _wmw_value, ks_statistic
 
@@ -66,21 +67,15 @@ _BITREV = np.array([int(f"{r:0{_TREE_LEVELS}b}"[::-1], 2) for r in range(1 << _T
 
 @dataclass(frozen=True, eq=False)
 class BootstrapWeights:
-    """Multinomial resampling counts for each sample, in observation order."""
+    """Multinomial resampling counts for each sample, in observation order:
+    integer vectors, stored as read-only int64."""
 
     w1: np.ndarray
     w2: np.ndarray
 
     def __post_init__(self):
         for name in ("w1", "w2"):
-            w = np.asarray(getattr(self, name))
-            if w.dtype.kind not in "biu":  # the int64 cast would truncate 1.5 and warn on nan
-                w = np.asarray(w, dtype=np.float64)
-                if not np.all(np.isfinite(w) & (w == np.rint(w))):
-                    raise ValueError(f"{name} must hold integer counts")
-            w = np.asarray(w, dtype=np.int64)
-            if w.ndim != 1 or w.size == 0:
-                raise ValueError(f"{name} must be a nonempty vector")
+            w = _as_counts(getattr(self, name), name)
             # Counts above the length could wrap the int64 sum round to it.
             if np.any((w < 0) | (w > w.size)) or int(w.sum()) != w.size:
                 raise ValueError(f"{name} must be multinomial counts summing to its length")
@@ -118,22 +113,17 @@ class BootstrapConfig:
 
     def __post_init__(self):
         for name in ("alpha", "tau", "eta"):
-            _check_real(name, getattr(self, name))
-            # numpy scalars pass the check; store Python floats so reports serialize.
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         if not (0.0 < self.alpha < 0.5):
             raise ValueError(f"alpha must lie in (0, 0.5), got {self.alpha}")
         if not (self.tau > 0.0):
             raise ValueError(f"tau must be positive (inf allowed), got {self.tau}")
-        _check_int("num_reps", self.num_reps, 1)
-        # numpy integers pass the check; store Python ints so reports serialize.
-        object.__setattr__(self, "num_reps", int(self.num_reps))
+        object.__setattr__(self, "num_reps", _check_int("num_reps", self.num_reps, 1))
         if not (self.eta >= 0.0):
             raise ValueError("eta must be nonnegative")
-        _check_int("seed", self.seed, 0)
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
         if self.seed >= 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        object.__setattr__(self, "seed", int(self.seed))
         _check_member("statistic kind", self.statistic_kind, StatKind)
 
 
@@ -209,7 +199,7 @@ def bootstrap_odc(data: TwoSampleData, weights: BootstrapWeights) -> OdcCurve:
     hits = np.repeat(prep.g1, weights.w1)[None]
     ranks = np.repeat(np.arange(data.n2, dtype=np.int32), weights.w2[prep.perm2])[None]
     counts = prep.odc_tail(prep.wmw_head(hits), ranks)[0]
-    return OdcCurve(values=counts / data.n1, n1=data.n1, n2=data.n2)
+    return OdcCurve(counts=counts, n1=data.n1, n2=data.n2)
 
 
 def _recentered_statistic(odc_star: OdcCurve, odc: OdcCurve, center: np.ndarray) -> float:

@@ -34,9 +34,8 @@ class BridgePathConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_int("num_paths", self.num_paths, 1)
-        _check_int("grid_size", self.grid_size, 2)
-        _check_int("seed", self.seed, 0)
+        for name, least in (("num_paths", 1), ("grid_size", 2), ("seed", 0)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), least))
 
 
 def _pinned_walk(rng: np.random.Generator, out: np.ndarray, tmp: np.ndarray, ramp) -> None:

@@ -40,24 +40,39 @@ def _as_sample(values, name: str) -> np.ndarray:
     return arr
 
 
-def _check_int(name: str, value, least: int) -> None:
-    """Reject anything but a true integer (numpy integers included, bool not)
-    of at least ``least``."""
+def _check_int(name: str, value, least: int) -> int:
+    """``value`` as a Python int: anything but a true integer (numpy integers
+    included, bool not) of at least ``least`` is rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
-def _check_real(name: str, value) -> None:
-    """Reject anything but a real number (numpy integers and floats included, bool
-    not) that converts to a float: an int past the float range does not, and a
+def _check_real(name: str, value) -> float:
+    """``value`` as a Python float, with -0.0 read as 0.0: anything but a real
+    number (numpy integers and floats included, bool not) that converts to a
+    float is rejected. An int past the float range does not convert, and a
     finite long double past it would become an infinite float."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        if abs(float(value)) == np.inf and not np.isinf(value):
+        real = float(value)
+        if abs(real) == np.inf and not np.isinf(value):
             raise OverflowError
     except OverflowError:
         raise ValueError(f"{name} must be a real number within the float range") from None
+    return real + 0.0
+
+
+def _as_counts(values, name: str) -> np.ndarray:
+    """A read-only int64 copy of the nonempty integer vector ``values``: any
+    other dtype, integer-valued floats included, is rejected."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" or arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{name} must be a nonempty vector of integer counts")
+    arr = arr.astype(np.int64)
+    arr.setflags(write=False)
+    return arr
 
 
 def _check_member(name: str, value, kind: type) -> None:
@@ -124,34 +139,28 @@ class OdcCurve:
     """Empirical ODC on the grid ``i/n2``, i = 1..n2, held as integer counts.
 
     ``counts[i-1]`` is the number of first-sample observations at or below
-    the i-th order statistic of the second sample, and ``values = counts/n1``;
-    both are read-only. The ``values`` passed in must be multiples ``k/n1``
-    with ``0 <= k <= n1``: a value passes within ``max(1e-8, n1 * 2**-50)`` of
-    ``k`` once scaled by ``n1``, as every float ``k/n1`` does, since it scales
-    to within ``n1 * 2**-52`` of ``k``.
+    the i-th order statistic of the second sample: a nondecreasing integer
+    vector in ``[0, n1]``. It is stored as read-only int64, with the read-only
+    ``values = counts/n1``.
     """
 
-    values: np.ndarray
+    counts: np.ndarray
     n1: int
     n2: int
-    counts: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_int("n1", self.n1, 1)
-        _check_int("n2", self.n2, 1)
-        scaled = _as_sample(self.values, "ODC values") * self.n1
-        # Clipping first lets one comparison reject off-grid and out-of-range values.
-        counts = np.rint(scaled).clip(0, self.n1)
-        if np.abs(scaled - counts).max() > max(1e-8, self.n1 * 2.0**-50):
-            raise ValueError(f"ODC values must be multiples k/{self.n1} with 0 <= k <= {self.n1}")
-        counts = counts.astype(np.int64)
-        if counts.size != self.n2:
-            raise ValueError(f"expected {self.n2} grid values, got {counts.size}")
-        if (np.diff(counts) < 0).any():
-            raise ValueError("ODC values must be nondecreasing")
-        for name, arr in (("counts", counts), ("values", counts / self.n1)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        n1 = _check_int("n1", self.n1, 1)
+        n2 = _check_int("n2", self.n2, 1)
+        counts = _as_counts(self.counts, "ODC counts")
+        if counts.size != n2:
+            raise ValueError(f"expected {n2} grid counts, got {counts.size}")
+        if counts[0] < 0 or counts[-1] > n1 or (np.diff(counts) < 0).any():
+            raise ValueError(f"ODC counts must be nondecreasing within [0, {n1}]")
+        values = counts / n1
+        values.setflags(write=False)
+        for name, value in (("n1", n1), ("n2", n2), ("counts", counts), ("values", values)):
+            object.__setattr__(self, name, value)
 
     @property
     def grid(self) -> np.ndarray:
@@ -173,8 +182,7 @@ def empirical_odc(data: TwoSampleData) -> OdcCurve:
     observations, so it is invariant under common strictly increasing
     transformations of all data.
     """
-    counts = data._ranks[2][data.n1 :]
-    return OdcCurve(values=counts / data.n1, n1=data.n1, n2=data.n2)
+    return OdcCurve(counts=data._ranks[2][data.n1 :], n1=data.n1, n2=data.n2)
 
 
 def rank_profile(data: TwoSampleData) -> tuple[np.ndarray, np.ndarray]:

@@ -53,7 +53,7 @@ class OdcFamily:
 
     def __post_init__(self):
         _check_member("family kind", self.kind, FamilyKind)
-        _check_real("gamma", self.gamma)
+        object.__setattr__(self, "gamma", _check_real("gamma", self.gamma))
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
         if self.kind is not FamilyKind.NORMAL_SHIFT_ALT and self.gamma < 0.0:
@@ -81,10 +81,10 @@ class CopulaSpec:
 
     def __post_init__(self):
         _check_member("copula kind", self.kind, CopulaKind)
-        _check_real("rho", self.rho)
+        object.__setattr__(self, "rho", _check_real("rho", self.rho))
         if self.kind is CopulaKind.GAUSSIAN and not (-1.0 < self.rho < 1.0):
             raise ValueError(f"Gaussian copula needs |rho| < 1, got {self.rho}")
-        if self.kind is CopulaKind.PRODUCT and repr(float(self.rho)) != "0.0":
+        if self.kind is CopulaKind.PRODUCT and self.rho != 0.0:
             raise ValueError(f"the product copula takes no rho, got {self.rho}")
 
 
@@ -103,7 +103,7 @@ class ScenarioSpec:
 
     def __post_init__(self):
         for name in ("n1", "n2", "mc_reps"):
-            _check_int(name, getattr(self, name), 1)
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), 1))
         for name, kind in [("family", OdcFamily), ("copula", CopulaSpec), ("pairing", Pairing),
                            ("bootstrap", BootstrapConfig)]:
             _check_member(name, getattr(self, name), kind)
@@ -174,7 +174,7 @@ def generate_dataset(spec: ScenarioSpec, rng: np.random.Generator) -> TwoSampleD
 
 def _key_parts(spec) -> list[str]:
     """Every field of a (nested) spec dataclass but ``seed``, in declaration
-    order, formatted by its declared type so that int-valued floats read alike."""
+    order; each number is the Python int or float that its checker stored."""
     parts = []
     for f in dataclasses.fields(spec):
         if f.name == "seed":
@@ -185,7 +185,7 @@ def _key_parts(spec) -> list[str]:
         elif isinstance(value, Enum):
             parts.append(value.value)
         else:
-            parts.append(repr(float(value)) if f.type == "float" else str(value))
+            parts.append(repr(value))
     return parts
 
 

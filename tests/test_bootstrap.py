@@ -103,16 +103,21 @@ class TestDrawWeights:
         with pytest.raises(ValueError):
             BootstrapWeights(w1=[-1, 3], w2=[1, 1])
 
-    @pytest.mark.parametrize("w1", [[1.5, 1.5, 1.0], [np.nan, 1.0], [np.inf, 0.0]])
+    @pytest.mark.parametrize(
+        "w1",
+        [[2.0, 0.0, 1.0], [1.5, 1.5, 1.0], [np.nan, 1.0], [np.inf, 0.0], [True], [[1]], [],
+         np.array([], dtype=np.int64)],
+    )
     def test_weights_must_be_integers(self, w1):
-        # int64 truncated 1.5 to 1 and cast nan under a RuntimeWarning
-        with pytest.raises(ValueError, match="w1 must hold integer counts"):
-            BootstrapWeights(w1=w1, w2=[1.0])
+        # integer-valued floats too: counts come in as integers
+        with pytest.raises(ValueError, match="w1 must be"):
+            BootstrapWeights(w1=w1, w2=[1])
 
-    def test_integer_valued_floats_accepted(self):
-        w = BootstrapWeights(w1=[2.0, 0.0, 1.0], w2=np.array([1.0]))
+    def test_integer_counts_stored_as_read_only_int64(self):
+        w = BootstrapWeights(w1=np.array([2, 0, 1], dtype=np.uint8), w2=np.array([1]))
         assert_array_equal(w.w1, [2, 0, 1], strict=True)
         assert w.w2.dtype == np.int64
+        assert not w.w1.flags.writeable
 
     def test_counts_whose_sum_wraps_rejected(self):
         # 3 * 2**62 + (2**62 + 4) is 4 modulo 2**64

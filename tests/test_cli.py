@@ -31,6 +31,15 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+def _strict_json(text):
+    """The JSON document ``text``, which must hold no constant such as Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestParseCsv:
     def test_unpaired_rows(self):
         data = parse_csv(io.StringIO("group,value\n1,0.2\n2,0.9\n"), paired=False)
@@ -275,15 +284,10 @@ class TestReportSerialization:
         assert statistic == 2.0 and type(statistic) is float
 
     def test_json_is_strict(self):
-        def reject(constant):
-            raise ValueError(f"non-strict JSON constant {constant}")
-
-        report = self._report(tau=math.inf)
-        doc = json.loads(emit_report(report, format="json"), parse_constant=reject)
+        doc = _strict_json(emit_report(self._report(tau=math.inf), format="json"))
         assert doc["tau"] == "inf"
         assert doc["num_bootstrap"] == 99
-        doc = json.loads(emit_report(self._report(eta=math.inf)), parse_constant=reject)
-        assert doc["eta"] == "inf"
+        assert _strict_json(emit_report(self._report(eta=math.inf)))["eta"] == "inf"
 
     def test_table_contains_decision(self):
         text = emit_report(self._report(), format="table")
@@ -312,6 +316,14 @@ class TestMain:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_negative_zero_eta_is_written_as_zero(self, tmp_path, capsys):
+        path = _write(tmp_path, "d.csv", "group,value\n1,0.4\n1,0.9\n2,0.5\n2,0.7\n")
+        reports = []
+        for eta in ("0", "-0", "-0.0"):
+            assert main(["test", "--input", path, "--boot", "99", "--eta", eta]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports == [reports[0]] * 3 and '"eta": 0.0,' in reports[0]
 
     def test_tau_inf_equals_huge_tau_on_diagonal_data(self, tmp_path, capsys):
         path = _write(tmp_path, "diag.csv", "group,value\n1,1\n1,3\n2,2\n2,4\n")
@@ -391,6 +403,7 @@ class TestMain:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0].startswith("family,gamma")
         cells = out[1].split(",")
+        assert len(cells) == len(out[0].split(","))
         rate = float(cells[-2])
         assert 0.0 <= rate <= 1.0
 
@@ -544,6 +557,77 @@ class TestMain:
         argv = ["null-quantiles", "--paths", "10", "--grid", "10", "--levels", levels]
         assert main(argv) == 2
         assert "usage error" in capsys.readouterr().err
+
+
+_SMOKE = "1,0.2\n1,0.9\n2,0.4\n2,0.7\n"
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Paths of the CLI's end-to-end inputs. 2000 rows or pairs at --boot 999
+    take several sub-chunks, so they draw on the bootstrap's helper thread;
+    2000 pairs of digits 0-9 are tied; 65 600 first-sample rows of ``tall``
+    are past 16-bit counts."""
+    root = tmp_path_factory.mktemp("inputs")
+    rng = [random.Random(seed) for seed in range(5)]
+    texts = {
+        "smoke": _SMOKE,
+        "big": "".join(f"{1 + i % 2},{rng[1].random()}\n" for i in range(2000)),
+        "tied": "x1,x2\n" + "".join(f"{rng[2].randint(0, 9)},{rng[2].randint(0, 9)}\n"
+                                    for _ in range(2000)),
+        "pairs": "x1,x2\n" + "".join(f"{rng[3].random()},{rng[3].random()}\n" for _ in range(2000)),
+        "tall": "".join(f"{1 + (i >= 65600)},{rng[4].random()}\n" for i in range(65650)),
+    }
+    return {name: _write(root, f"{name}.csv", text) for name, text in texts.items()}
+
+
+@pytest.mark.parametrize(
+    "name, extra",
+    [("big", []), ("pairs", ["--paired"]), ("pairs", ["--paired", "--stat", "ks"])],
+    ids=["independent-wmw", "matched-wmw", "matched-ks"],
+)
+def test_fresh_processes_give_the_same_bytes(inputs, capsys, name, extra):
+    # Which thread finishes each draw depends on timing, so two processes and
+    # an in-process call must write the same report; the timeout turns a
+    # deadlock into a failure.
+    argv = ["test", "--input", inputs[name], "--boot", "999", *extra]
+    runs = [_fresh(["-m", "domtest.cli", *argv], timeout=120) for _ in range(2)]
+    assert main(argv) == 0
+    alone = capsys.readouterr().out
+    assert [(run.returncode, run.stdout, run.stderr) for run in runs] == [(0, alone, "")] * 2
+    _strict_json(alone)
+
+
+@pytest.mark.parametrize(
+    "name, extra",
+    [
+        ("smoke", ["--boot", "99", "--eta", "inf"]),
+        ("smoke", ["--boot", "99", "--stat", "ks"]),
+        ("smoke", ["--boot", "99", "--stat", "ks", "--paired"]),
+        ("tied", ["--boot", "999", "--stat", "ks", "--paired"]),
+        ("big", ["--boot", "999", "--stat", "ks"]),
+        ("tall", ["--boot", "19"]),
+        ("tall", ["--boot", "19", "--stat", "ks"]),
+    ],
+)
+def test_reports_are_strict_json(inputs, capsys, name, extra):
+    assert main(["test", "--input", inputs[name], *extra]) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["statistic_kind"] == ("ks" if "ks" in extra else "wmw")
+    assert doc["pairing"] == ("matched" if "--paired" in extra else "independent")
+
+
+def test_odc_of_the_smoke_input(inputs, capsys):
+    assert main(["odc", "--input", inputs["smoke"]]) == 0
+    assert capsys.readouterr().out == "u,R_hat\n0.5,0.5\n1.0,0.5\n"
+
+
+def test_a_third_cell_late_in_the_file_exits_3(inputs, tmp_path, capsys):
+    # the column path gives up on row 1500, and the row loop names its line
+    rows = pathlib.Path(inputs["big"]).read_text().splitlines()
+    rows[1499] += ",0.5"
+    assert main(["test", "--input", _write(tmp_path, "wide.csv", "\n".join(rows))]) == 3
+    assert capsys.readouterr() == ("", "error: line 1500: expected two cells group,value\n")
 
 
 def _fresh(args, **kwargs):

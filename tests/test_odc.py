@@ -1,7 +1,7 @@
-import re
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from domtest import (
@@ -40,42 +40,56 @@ class TestValidation:
         assert TwoSampleData(x1=[1.0, 2.0], x2=[2.0]).ties_detected
         assert not TwoSampleData(x1=[1.0, 2.0], x2=[3.0]).ties_detected
 
-    def test_odc_curve_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            OdcCurve(values=[1.0, 0.5], n1=2, n2=2)
-
-    def test_odc_curve_rejects_off_grid(self):
-        with pytest.raises(ValueError):
-            OdcCurve(values=[0.3, 0.9], n1=2, n2=2)
-
-    @pytest.mark.parametrize("values", [[0.5, 1.5], [-0.5, 1.0], [0.4, 1.0]])
-    def test_odc_curve_values_must_be_counts_over_n1(self, values):
-        # above n1, below 0 and between grid points all fail the one comparison
-        with pytest.raises(ValueError, match=re.escape("multiples k/2 with 0 <= k <= 2")):
-            OdcCurve(values=values, n1=2, n2=2)
-
-    def test_odc_curve_accepts_exact_floats_at_large_n1(self):
-        # k/n1 scales back to k only within n1 * 2**-52, far above 1e-8 here
-        n1 = 1_000_000_009
-        k = np.sort(np.random.default_rng(12).integers(0, n1 + 1, 200))
-        curve = OdcCurve(values=k / n1, n1=n1, n2=200)
-        assert_array_equal(curve.counts, k)
-        assert curve.values.tobytes() == (k / n1).tobytes()
-
     @pytest.mark.parametrize(
-        "values,n1,n2",
+        "counts, n1, n2",
         [
-            ([0.5, np.nan], 2, 2),
-            ([0.5, np.inf], 2, 2),
-            ([-np.inf, 1.0], 2, 2),
-            ([0.4, 0.8], 2.5, 2),
-            ([1.0], True, 1),
-            ([0.5, 1.0], 2, 0),
+            ([0.0, 1.0], 2, 2),  # float counts, integer-valued ones too
+            (np.array([0.0, 2.0], dtype=np.float32), 2, 2),
+            ([0.5, 1.0], 2, 2),
+            ([0.0, np.nan], 2, 2),
+            ([True, True], 2, 2),
+            (["0", "1"], 2, 2),
+            ([[0, 1]], 2, 2),  # not a vector
+            ([[0], [1]], 2, 2),
+            (np.int64(1), 2, 1),
+            ([0, 1, 2], 2, 2),  # the wrong length
+            ([1], 2, 2),
+            ([-1, 1], 2, 2),  # a count below 0 or above n1
+            ([1, 3], 2, 2),
+            (np.array([2**64 - 1], dtype=np.uint64), 2, 1),
+            ([2, 1], 2, 2),  # decreasing
+            ([0, 2, 1], 2, 3),
+            ([0, 1], 2.0, 2),  # bad n1 or n2
+            ([0, 1], True, 2),
+            ([0, 0], 0, 2),
+            ([0, 1], 2, 0),
+            ([0, 1], 2, np.float64(2)),
         ],
     )
-    def test_odc_curve_rejects_bad_input(self, values, n1, n2):
+    def test_odc_curve_rejects_bad_input(self, counts, n1, n2):
         with pytest.raises(ValueError):
-            OdcCurve(values=values, n1=n1, n2=n2)
+            OdcCurve(counts=counts, n1=n1, n2=n2)
+
+
+_COUNT_DTYPES = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n1=st.one_of(st.integers(1, 200), st.integers(1, 2**62)),
+    n2=st.integers(1, 40),
+    dtype=st.sampled_from(_COUNT_DTYPES),
+    data=st.data(),
+)
+def test_odc_values_are_the_counts_over_n1(n1, n2, dtype, data):
+    top = min(n1, np.iinfo(dtype).max)
+    counts = sorted(data.draw(st.lists(st.integers(0, top), min_size=n2, max_size=n2)))
+    curve = OdcCurve(counts=np.array(counts, dtype=dtype), n1=np.int64(n1), n2=n2)
+    want = np.array(counts, dtype=np.int64)
+    assert_array_equal(curve.counts, want, strict=True)
+    assert curve.values.tobytes() == (want / n1).tobytes()
+    assert type(curve.n1) is int and curve.n1 == n1
+    assert not curve.counts.flags.writeable and not curve.values.flags.writeable
 
 
 class TestEcdf:
@@ -172,12 +186,16 @@ class TestEmpiricalOdc:
         curve = empirical_odc(data)
         assert_array_equal(curve.counts / data.n1, curve.values)
 
-    def test_counts_cached_and_read_only(self):
-        curve = OdcCurve(values=[0.25, 0.5, 1.0], n1=4, n2=3)
-        assert curve.counts is curve.counts
+    def test_counts_copied_and_read_only(self):
+        given_counts = np.array([1, 2, 4])
+        curve = OdcCurve(counts=given_counts, n1=4, n2=3)
+        given_counts[0] = 0
         assert_array_equal(curve.counts, [1, 2, 4])
+        assert_array_equal(curve.values, [0.25, 0.5, 1.0])
         with pytest.raises(ValueError):
             curve.counts[0] = 0
+        with pytest.raises(ValueError):
+            curve.values[0] = 0.0
 
     def test_tied_x2_well_defined(self):
         # duplicate second-sample values get the same ODC value regardless of order

@@ -134,7 +134,7 @@ def test_observed_wmw_takes_int64_counts_past_int32_products():
     n1, n2 = 2**20, 2**12
     rng = np.random.default_rng(83)
     counts = np.sort(rng.integers(0, n1 + 1, n2))
-    curve = OdcCurve(values=counts / n1, n1=n1, n2=n2)
+    curve = OdcCurve(counts=counts, n1=n1, n2=n2)
     want = _exact_wmw(counts, n1, n2)
     assert _wmw_value(curve.counts, n1, n2) == want == wmw_statistic(curve)
     data = TwoSampleData(x1=rng.random(n1), x2=rng.random(n2) ** 0.5)

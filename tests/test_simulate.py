@@ -153,13 +153,14 @@ class TestGaussianCopula:
         with pytest.raises(ValueError, match="rho must be a real number within the float"):
             CopulaSpec(kind=kind, rho=long_double_past_float)
 
-    @pytest.mark.parametrize("rho", [0.9, -0.5, -0.0, math.nan])
+    @pytest.mark.parametrize("rho", [0.9, -0.5, math.nan])
     def test_product_copula_takes_no_rho(self, rho):
         # the product copula ignores rho, which _scenario_key would still hash
-        # into another stream for the same scenario
+        # into another stream for the same scenario; every zero is stored as 0.0
         with pytest.raises(ValueError, match="takes no rho"):
             CopulaSpec(kind=CopulaKind.PRODUCT, rho=rho)
-        assert CopulaSpec(kind=CopulaKind.PRODUCT, rho=0) == CopulaSpec()
+        for zero in (0, -0.0, np.float32(-0.0)):
+            assert CopulaSpec(kind=CopulaKind.PRODUCT, rho=zero) == CopulaSpec()
 
     def test_rho_validation(self):
         with pytest.raises(ValueError):
@@ -347,6 +348,74 @@ class TestRejectionRate:
                 ),
                 10154096684281547860,
             ),
+            # numbers of numpy types, ints for floats and floats of other widths
+            # key as the Python int or float that their checker stores
+            (
+                _spec(
+                    OdcFamily(FamilyKind.POWER_NULL, np.float64(0.5)),
+                    n1=np.int32(12),
+                    n2=np.int64(15),
+                    mc_reps=np.int64(7),
+                    num_reps=np.int64(99),
+                    seed=1,
+                ),
+                6324891505131557870,
+            ),
+            (
+                _spec(
+                    OdcFamily(FamilyKind.POWER_ALT, np.float32(0.3)),
+                    n1=20,
+                    n2=25,
+                    tau=np.float32(0.5),
+                ),
+                15971805675707545205,
+            ),
+            (
+                _spec(
+                    OdcFamily(FamilyKind.PARTIAL_CONTACT_NULL, np.int64(2)),
+                    n1=30,
+                    n2=30,
+                    pairing=Pairing.MATCHED,
+                    rho=np.float64(-0.25),
+                    tau=math.inf,
+                    statistic_kind=StatKind.KS,
+                ),
+                9670585859141204037,
+            ),
+            (
+                _spec(
+                    OdcFamily(FamilyKind.NORMAL_SHIFT_ALT, -1),
+                    n1=8,
+                    n2=9,
+                    alpha=np.float32(0.1),
+                    tau=1,
+                    eta=np.float64(0.01),
+                ),
+                10533241425385787759,
+            ),
+            (
+                _spec(
+                    OdcFamily(FamilyKind.POWER_NULL, 0),
+                    n1=10,
+                    n2=10,
+                    pairing=Pairing.MATCHED,
+                    rho=0,
+                    eta=0,
+                    num_reps=np.uint16(9),
+                ),
+                7516140688612709960,
+            ),
+            (
+                _spec(
+                    OdcFamily(FamilyKind.POWER_ALT, 1),
+                    n1=np.uint8(5),
+                    n2=6,
+                    mc_reps=3,
+                    tau=np.int64(2),
+                    eta=np.float32(0.5),
+                ),
+                10482805237725496059,
+            ),
         ],
     )
     def test_scenario_key_pinned(self, spec, key):
@@ -381,16 +450,26 @@ class TestRejectionRate:
         assert rejection_rate(spec) == expected
         assert len(calls) == 1
 
-    def test_equal_specs_keep_their_own_streams(self):
-        # gamma = -0.0 and 0.0 specs compare and hash equal but key apart, so
-        # no cache keyed on the spec may stand in for _scenario_key
-        from domtest.simulate import replication_streams
+    @pytest.mark.parametrize("field", ["gamma", "rho"])
+    def test_equal_specs_share_their_streams(self, field):
+        # specs that compare and hash equal, here -0.0 against 0.0, store the
+        # same 0.0, so they key alike and draw the same streams
+        from domtest.simulate import _scenario_key, replication_streams
 
-        neg, pos = (_spec(OdcFamily(FamilyKind.POWER_NULL, g), n1=10, n2=10) for g in (-0.0, 0.0))
+        def spec(zero):
+            gamma, rho = (zero, 0.0) if field == "gamma" else (0.0, zero)
+            family = OdcFamily(FamilyKind.POWER_NULL, gamma)
+            return _spec(family, n1=20, n2=20, pairing=Pairing.MATCHED, rho=rho, mc_reps=40,
+                         num_reps=99, seed=3)
+
+        neg, pos = spec(-0.0), spec(0.0)
         assert neg == pos and hash(neg) == hash(pos)
-        x_neg = generate_dataset(neg, replication_streams(neg, 0)[0]).x1
-        x_pos = generate_dataset(pos, replication_streams(pos, 0)[0]).x1
-        assert not np.array_equal(x_neg, x_pos)
+        assert math.copysign(1.0, neg.family.gamma) == math.copysign(1.0, neg.copula.rho) == 1.0
+        assert _scenario_key(neg) == _scenario_key(pos)
+        x_neg = generate_dataset(neg, replication_streams(neg, 0)[0])
+        x_pos = generate_dataset(pos, replication_streams(pos, 0)[0])
+        assert x_neg.x1.tobytes() + x_neg.x2.tobytes() == x_pos.x1.tobytes() + x_pos.x2.tobytes()
+        assert rejection_rate(neg) == rejection_rate(pos)
 
     def test_strong_alternative_rejects_often(self):
         spec = _spec(

@@ -104,7 +104,7 @@ class TestWmwStatistic:
         # first sample wholly below the second at n1 = n2 = n: the excess
         # sum is n*n*(n-1)/2, and n1*n2**2 is past 2**63
         n = 2_700_000
-        curve = OdcCurve(values=np.ones(n), n1=n, n2=n)
+        curve = OdcCurve(counts=np.full(n, n), n1=n, n2=n)
         excess = n * n * (n - 1) // 2
         expected = math.sqrt(n * n / (2 * n)) * (excess / (n * n * n))
         assert wmw_statistic(curve) == expected
@@ -154,7 +154,7 @@ class TestAreaFunctional:
         # every cell of the all-ones curve is full, so the excess numerator is
         # n * n**2, past 2**63 at this n
         n = 2_700_000
-        curve = OdcCurve(values=np.ones(n), n1=n, n2=n)
+        curve = OdcCurve(counts=np.full(n, n), n1=n, n2=n)
         expected = wmw_statistic(curve) + math.sqrt(n / 2) * (n**3 / (2 * n**4))
         assert odc_area_functional(curve) == expected
 
